@@ -5,9 +5,22 @@ starting from the identity, and records the principal angle between the
 final attitude and a step-doubled reference.  Methods driven by
 instantaneous rate samples run the generic solver on the rotation-vector
 ODE; methods driven by integrated increments synthesize exact measurements
-from the signal and apply the coning corrections.  Cells are independent
-and may run in parallel; the assembled report is keyed by (method, dt) and
-is bitwise identical regardless of scheduling (wall times excepted).
+from the signal and apply the coning corrections.
+
+Propagation runs on the array engine of ``_batch``.  Every step starts from
+a zero rotation vector, so a method's per-step rotation vectors are
+independent and are computed for blocks of ``_batch.BLOCK`` steps at once;
+one composer multiplies their DCMs in a pairwise tree.  The single drift
+control is the rule of ``so3.compose``: a product whose orthogonality defect
+exceeds 1e-12 is projected back onto SO(3).  The engine groups the
+floating-point work differently from a step-by-step loop over the per-call
+functions, so a recorded error may move in its last digits; the tests hold
+every record of the default sweeps to 1e-6 relative, or 1e-12 absolute (the
+default reference tolerance), of the loop's values.
+
+Cells are independent and may run in parallel; the assembled report is keyed
+by (method, dt) and is bitwise identical regardless of scheduling (wall
+times excepted).
 """
 
 from __future__ import annotations
@@ -17,26 +30,27 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .coning import (miller_single_speed, rk4_theta2, rk4_theta3,
-                     two_speed_classic)
+from . import _batch
 from .errors import ConfigError, InsufficientData
 from .kinematics import JacobianMode
-from .rate_model import MeasurementWindow
-from .rk import (integrate_attitude_step, tableau_explicit_midpoint,
-                 tableau_forward_euler, tableau_rk3, tableau_rk4)
-from .so3 import (attitude_error_angle, compose, dcm_from_rotation_vector,
-                  orthonormalize)
-from .trajectory import (AnalyticAttitudeSignal, omega_at, preset,
-                         reference_attitude, synth_delta_theta, PRESET_NAMES)
+from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
+                 tableau_rk3, tableau_rk4)
+from .so3 import attitude_error_angle
+from .trajectory import (AnalyticAttitudeSignal, preset, reference_attitude,
+                         PRESET_NAMES)
 
 #: Errors at or below this value sit in the roundoff floor and are excluded
 #: from order fits.
 ERROR_FLOOR = 1e-14
 
-_ORTHO_EVERY = 1000
+#: Largest number of sensor intervals one cell may propagate: its step count,
+#: times the minor steps for the two-speed method.  ``validate_config``
+#: rejects a sweep above it before any work starts.
+MAX_CELL_STEPS = 2 ** 20
 
 
 class MethodKind(Enum):
@@ -57,6 +71,12 @@ _OMEGA_TABLEAUX = {
     MethodKind.EXPLICIT_MIDPOINT_OMEGA: tableau_explicit_midpoint,
     MethodKind.RK3_OMEGA: tableau_rk3,
     MethodKind.RK4_OMEGA: tableau_rk4,
+}
+
+_INCREMENT_STEPS = {
+    MethodKind.SINGLE_SPEED_THETA2: _batch.miller_steps,
+    MethodKind.RK4_THETA2: _batch.rk4_theta2_steps,
+    MethodKind.SINGLE_SPEED_THETA3: _batch.rk4_theta3_steps,
 }
 
 
@@ -131,8 +151,13 @@ class ConvergenceReport:
 
 
 def _step_count(dt: float, horizon: float) -> int:
-    n = round(horizon / dt)
-    if n < 1 or abs(horizon / dt - n) > 1e-9:
+    ratio = horizon / dt
+    if not math.isfinite(ratio):
+        raise ConfigError(
+            f"horizon {horizon!r} over step size {dt!r} is not a finite "
+            "step count")
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9:
         raise ConfigError(
             f"step size {dt!r} does not divide horizon {horizon!r}")
     return n
@@ -147,73 +172,26 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     Rate-sample methods integrate the rotation-vector ODE per step;
     increment methods consume exact synthetic measurements, including the
     warm-up increment before t = 0 (and, for the three-increment method,
-    one increment past the horizon).  Per-step rotations compose right to
-    left; the attitude is re-orthonormalized every 1000 steps.
+    one increment past the horizon).  Both run on the array engine: the
+    method's producer computes the per-step rotation vectors a block of
+    steps at a time, and one composer multiplies their DCMs right to left
+    in a pairwise tree, projecting any product whose orthogonality defect
+    exceeds 1e-12 back onto SO(3).  The result matches the step-by-step
+    composition of the per-call functions to roundoff (see
+    ``tests/test_batch.py``).
     """
     n = _step_count(dt, horizon)
-    t_mat = np.eye(3)
-
-    def push(t_mat, delta_phi):
-        return compose(dcm_from_rotation_vector(delta_phi), t_mat)
-
+    block = _batch.BLOCK
     if method.uses_rate_samples:
-        tab = _OMEGA_TABLEAUX[method.kind]()
-
-        def sampler(t):
-            return omega_at(signal, t)
-
-        for k in range(n):
-            dphi = integrate_attitude_step(sampler, k * dt, dt, tab,
-                                           jacobian_mode)
-            t_mat = push(t_mat, dphi)
-            if (k + 1) % _ORTHO_EVERY == 0:
-                t_mat = orthonormalize(t_mat)
-        return t_mat
-
-    if method.kind in (MethodKind.SINGLE_SPEED_THETA2, MethodKind.RK4_THETA2):
-        prev = synth_delta_theta(signal, -dt, 0.0)
-        for k in range(n):
-            curr = synth_delta_theta(signal, k * dt, (k + 1) * dt)
-            if method.kind is MethodKind.SINGLE_SPEED_THETA2:
-                result = miller_single_speed(prev, curr)
-            else:
-                result = rk4_theta2(
-                    MeasurementWindow(np.stack([prev, curr]), dt))
-            t_mat = push(t_mat, result.delta_phi)
-            prev = curr
-            if (k + 1) % _ORTHO_EVERY == 0:
-                t_mat = orthonormalize(t_mat)
-        return t_mat
-
-    if method.kind is MethodKind.SINGLE_SPEED_THETA3:
-        prev = synth_delta_theta(signal, -dt, 0.0)
-        curr = synth_delta_theta(signal, 0.0, dt)
-        for k in range(n):
-            nxt = synth_delta_theta(signal, (k + 1) * dt, (k + 2) * dt)
-            result = rk4_theta3(
-                MeasurementWindow(np.stack([prev, curr, nxt]), dt))
-            t_mat = push(t_mat, result.delta_phi)
-            prev, curr = curr, nxt
-            if (k + 1) % _ORTHO_EVERY == 0:
-                t_mat = orthonormalize(t_mat)
-        return t_mat
-
-    if method.kind is MethodKind.TWO_SPEED_CLASSIC:
-        m = method.minor_steps
-        sub = dt / m
-        before = synth_delta_theta(signal, -sub, 0.0)
-        for k in range(n):
-            start = k * dt
-            incs = [synth_delta_theta(signal, start + j * sub,
-                                      start + (j + 1) * sub)
-                    for j in range(m)]
-            t_mat = push(t_mat, two_speed_classic(incs, before))
-            before = incs[-1]
-            if (k + 1) % _ORTHO_EVERY == 0:
-                t_mat = orthonormalize(t_mat)
-        return t_mat
-
-    raise ConfigError(f"unhandled method kind {method.kind!r}")
+        produce = partial(_batch.rate_steps, signal, 0.0, dt,
+                          _OMEGA_TABLEAUX[method.kind](), jacobian_mode)
+    elif method.kind is MethodKind.TWO_SPEED_CLASSIC:
+        produce = partial(_batch.two_speed_steps, signal, dt,
+                          method.minor_steps)
+        block = max(1, block // method.minor_steps)
+    else:
+        produce = partial(_INCREMENT_STEPS[method.kind], signal, dt)
+    return _batch.compose_steps(produce, n, block)
 
 
 def estimate_order(records) -> tuple[float, float]:
@@ -238,7 +216,12 @@ def estimate_order(records) -> tuple[float, float]:
 
 
 def validate_config(cfg: SweepConfig) -> None:
-    """Raise ``ConfigError`` on any invalid sweep setting."""
+    """Raise ``ConfigError`` on any invalid sweep setting.
+
+    Besides the shape of the sweep this bounds its work: every value must be
+    finite, and no cell may propagate more than ``MAX_CELL_STEPS`` sensor
+    intervals.
+    """
     if cfg.signal not in PRESET_NAMES:
         raise ConfigError(
             f"unknown signal preset {cfg.signal!r}; valid presets: "
@@ -247,16 +230,27 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("method list is empty")
     if not cfg.step_sizes:
         raise ConfigError("step-size list is empty")
+    if not math.isfinite(cfg.horizon):
+        raise ConfigError(f"horizon must be finite, got {cfg.horizon!r}")
+    if not all(math.isfinite(dt) for dt in cfg.step_sizes):
+        raise ConfigError(f"step sizes must be finite: {cfg.step_sizes}")
     if any(dt <= 0 for dt in cfg.step_sizes):
         raise ConfigError(f"step sizes must be positive: {cfg.step_sizes}")
     if list(cfg.step_sizes) != sorted(set(cfg.step_sizes), reverse=True):
         raise ConfigError(
             f"step sizes must be strictly decreasing: {cfg.step_sizes}")
-    for dt in cfg.step_sizes:
-        _step_count(dt, cfg.horizon)
-    if cfg.tolerance < 1e-13:
+    steps = [_step_count(dt, cfg.horizon) for dt in cfg.step_sizes]
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 1e-13):
         raise ConfigError(
-            f"reference tolerance must be >= 1e-13, got {cfg.tolerance!r}")
+            f"reference tolerance must be finite and >= 1e-13, got "
+            f"{cfg.tolerance!r}")
+    for method in cfg.methods:
+        intervals = steps[-1] * (method.minor_steps or 1)
+        if intervals > MAX_CELL_STEPS:
+            raise ConfigError(
+                f"{method.label()} at dt={cfg.step_sizes[-1]!r} needs "
+                f"{intervals} sensor intervals, above the per-cell cap of "
+                f"{MAX_CELL_STEPS}")
 
 
 def run_sweep(cfg: SweepConfig, max_workers: int | None = None

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NoConvergence
 from .kinematics import JacobianMode, forward_jacobian
 from .rate_model import RatePolynomial, eval_rate
-from .rk import integrate_attitude_step, tableau_rk4
-from .so3 import attitude_error_angle, dcm_from_rotation_vector, orthonormalize
+from .rk import tableau_rk4
+from .so3 import attitude_error_angle, dcm_from_rotation_vector
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -201,20 +202,13 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float, t1: float,
 
 def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
                   substeps: int) -> np.ndarray:
-    tab = tableau_rk4()
+    # Imported here: the engine depends on this module's signal types.
+    from . import _batch
+
     h = (t1 - t0) / substeps
-
-    def sampler(t):
-        return omega_at(signal, t)
-
-    t_mat = np.eye(3)
-    for k in range(substeps):
-        dphi = integrate_attitude_step(sampler, t0 + k * h, h, tab,
-                                       JacobianMode.EXACT_CLOSED_FORM)
-        t_mat = dcm_from_rotation_vector(dphi) @ t_mat
-        if (k + 1) % 1000 == 0:
-            t_mat = orthonormalize(t_mat)
-    return orthonormalize(t_mat)
+    produce = partial(_batch.rate_steps, signal, t0, h, tableau_rk4(),
+                      JacobianMode.EXACT_CLOSED_FORM)
+    return _batch.compose_steps(produce, substeps)
 
 
 def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
@@ -223,14 +217,18 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
 
     Integrates the rotation-vector ODE with the four-stage scheme and the
     exact Jacobian, re-zeroing the rotation vector each substep and
-    composing the per-substep DCMs.  The substep is halved until successive
-    refinements agree to within ``tol`` (rad); raises ``NoConvergence``
-    after 24 halvings.  The returned matrix is the rotation relative to the
-    attitude at ``t0`` (identity initial condition).
+    composing the per-substep DCMs.  Each refinement runs on the array
+    engine of ``bench.propagate``: substep rotation vectors in blocks, DCMs
+    multiplied in a pairwise tree, and any product whose orthogonality
+    defect exceeds 1e-12 projected back onto SO(3).  The substep is halved
+    until successive refinements agree to within ``tol`` (rad); raises
+    ``NoConvergence`` after 24 halvings, and ``ValueError`` unless
+    ``tol >= 1e-13`` (NaN included).  The returned matrix is the rotation
+    relative to the attitude at ``t0`` (identity initial condition).
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise ValueError(f"tolerance must be >= 1e-13 rad, got {tol!r}")
     n = max(8, math.ceil((t1 - t0) * max(_rate_scale(signal), 1.0)))
     prev = _rk4_attitude(signal, t0, t1, n)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from coning_kit.bench import (ErrorRecord, MethodId, MethodKind,
-                              SweepConfig, estimate_order, propagate,
-                              run_sweep, validate_config)
+from coning_kit.bench import (MAX_CELL_STEPS, ErrorRecord, MethodId,
+                              MethodKind, SweepConfig, estimate_order,
+                              propagate, run_sweep, validate_config)
 from coning_kit.errors import ConfigError, InsufficientData
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import attitude_error_angle, dcm_from_rotation_vector
@@ -120,6 +122,27 @@ class TestValidateConfig:
                           step_sizes=(0.25,), horizon=1.0, tolerance=1e-14)
         with pytest.raises(ConfigError):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", float("nan")), ("horizon", float("inf")),
+        ("step_sizes", (float("nan"),)), ("step_sizes", (float("inf"),)),
+        ("step_sizes", (5e-324,)), ("tolerance", float("nan")),
+        ("tolerance", float("inf"))])
+    def test_rejects_non_finite_values(self, field, value):
+        cfg = dataclasses.replace(self.good(), **{field: value})
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
+
+    def test_step_cap(self):
+        dt = 1.0 / MAX_CELL_STEPS
+        validate_config(dataclasses.replace(self.good(), step_sizes=(dt,)))
+        with pytest.raises(ConfigError, match="cap"):
+            validate_config(dataclasses.replace(self.good(),
+                                                step_sizes=(dt / 2,)))
+        two_speed = (MethodId(MethodKind.TWO_SPEED_CLASSIC, 4),)
+        with pytest.raises(ConfigError, match="twospeed4"):
+            validate_config(dataclasses.replace(
+                self.good(), methods=two_speed, step_sizes=(dt,)))
 
     def test_rejects_empty_lists(self):
         with pytest.raises(ConfigError):

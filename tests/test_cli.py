@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from coning_kit import bench
 from coning_kit.bench import MethodKind
 from coning_kit.cli import parse_method, run_cli
 from coning_kit.errors import ConfigError
@@ -111,6 +112,28 @@ class TestSweepCommand:
                         "--methods", "theta2",
                         "--output", str(tmp_path / "x.csv")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--horizon", "nan"], "horizon"),
+        (["--horizon", "inf"], "horizon"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--halvings", "40"], "cap"),
+    ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40"])
+    def test_unbounded_work_rejected_before_sweeping(self, flags, named,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # Each once escaped validation: NaN and inf horizons as a traceback
+        # from round(), a NaN tolerance and 40 halvings as a sweep that
+        # never ends.  None may start any propagation.
+        def no_work(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(bench, "reference_attitude", no_work)
+        monkeypatch.setattr(bench, "propagate", no_work)
+        assert run_cli(["sweep", "--methods", "theta2", *flags,
+                        "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
     def test_stdout_output(self, capsys):
         assert run_cli(["sweep", "--signal", "poly3", "--methods", "exmid",

@@ -212,3 +212,5 @@ class TestReferenceAttitude:
             reference_attitude(signal, 1.0, 1.0, 1e-12)
         with pytest.raises(ValueError):
             reference_attitude(signal, 0.0, 1.0, 1e-14)
+        with pytest.raises(ValueError):
+            reference_attitude(signal, 0.0, 1.0, float("nan"))
