@@ -182,23 +182,15 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
             if a_nl != 0.0:
                 psi = psi + a_nl * stages[l]
         omega = omega_many(signal, t_k + dt * tab.c[nu])
-        px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
-        wx, wy, wz = omega[:, 0], omega[:, 1], omega[:, 2]
+        # kinematics.bortz_rhs, term by term in the same order.
         if mode is JacobianMode.EXACT_CLOSED_FORM:
+            px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
             angles[nu] = np.sqrt(px * px + py * py + pz * pz)
-            c = jinv_coefficients(angles[nu])
+            c = jinv_coefficients(angles[nu])[:, None]
         else:
             c = 1.0 / 12.0
-        cx = py * wz - pz * wy
-        cy = pz * wx - px * wz
-        cz = px * wy - py * wx
-        dx = py * cz - pz * cy
-        dy = pz * cx - px * cz
-        dz = px * cy - py * cx
-        f_nu = np.stack([wx + 0.5 * cx + c * dx,
-                         wy + 0.5 * cy + c * dy,
-                         wz + 0.5 * cz + c * dz], axis=1)
-        stages.append(dt * f_nu)
+        cross = _cross(psi, omega)
+        stages.append(dt * (omega + 0.5 * cross + c * _cross(psi, cross)))
     bad = ~(angles < MAX_ANGLE)
     if bad.any():
         k = int(np.flatnonzero(bad.any(axis=0))[0])

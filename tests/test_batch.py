@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coning_kit import _batch
+from coning_kit.bench import MethodId, MethodKind, propagate
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import (AngleOutOfDomain, NotNearOrthogonal,
@@ -243,6 +244,19 @@ class TestCorrections:
                 assert np.array_equal(g, w)
             else:
                 assert_rows_close(g, w)
+
+
+@pytest.mark.parametrize("kind", [MethodKind.RK4_THETA2,
+                                  MethodKind.SINGLE_SPEED_THETA3])
+def test_non_finite_increments_refused_like_measurement_window(kind):
+    # sin stays positive on every interval, so every increment is +inf.
+    signal = FourierRate(((np.array([np.inf, 0.0, 0.0]), 1.0, 0.5),))
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementWindow(np.stack([synth_delta_theta(signal, -0.25, 0.0),
+                                    synth_delta_theta(signal, 0.0, 0.25)]),
+                          0.25)
+    with pytest.raises(ValueError, match="finite"):
+        propagate(MethodId(kind), signal, 0.25, 1.0)
 
 
 class TestComposer:
