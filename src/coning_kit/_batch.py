@@ -10,6 +10,11 @@ rotation vectors are independent of one another.  A *producer* returns the
   ``two_speed_steps`` synthesize the increments by interval quadrature
   (``trajectory.synth_delta_theta``) and apply one ``coning`` correction.
 
+Both kinds of producer get their rates from ``omega_many``.  One call takes
+the times of as many quadrature nodes or RK stages as fit in ``BLOCK`` rows,
+and at least one, so no call is larger than one node's times for a block's
+steps or increments.
+
 ``compose_steps`` is the one composer: it asks a producer for one block of
 ``BLOCK`` steps at a time, turns the rotation vectors into DCMs and
 multiplies them in a pairwise tree; only the fold of block products onto the
@@ -29,6 +34,7 @@ holds.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +70,17 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------- signals
 
 
-def right_jacobian_apply(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows of ``kinematics.forward_jacobian(phi) @ v``, in closed form.
+def right_jacobian_coefficients(a):
+    """Coefficients ``(k1, k2)`` of the right Jacobian at angle ``a``.
 
-    ``J = I - (1 - cos a)/a^2 [phi x] + (a - sin a)/a^3 [phi x]^2`` with
-    ``a = |phi|``; the first coefficient is evaluated as
-    ``(sin(a/2)/(a/2))^2 / 2``, which equals it without the cancellation.
-    No domain check: the coning signal keeps ``a`` below pi/2.
+    ``J = I - k1 [phi x] + k2 [phi x]^2`` with ``a = |phi|``,
+    ``k1 = (1 - cos a)/a^2`` and ``k2 = (a - sin a)/a^3``; ``k1`` is
+    evaluated as ``(sin(a/2)/(a/2))^2 / 2``, which equals it without the
+    cancellation.  ``a`` may be a scalar or an array; the result has its
+    shape.
     """
-    a2 = (phi * phi).sum(axis=1)
-    a = np.sqrt(a2)
+    a = np.asarray(a, dtype=float)
+    a2 = a * a
     k1 = np.empty_like(a)
     k2 = np.empty_like(a)
     small = a < _JACOBIAN_SERIES
@@ -84,8 +91,24 @@ def right_jacobian_apply(phi: np.ndarray, v: np.ndarray) -> np.ndarray:
     ab, half = a[big], 0.5 * a[big]
     k1[big] = 0.5 * (np.sin(half) / half) ** 2
     k2[big] = (ab - np.sin(ab)) / (ab * a2[big])
+    return k1, k2
+
+
+def right_jacobian_apply(k1, k2, phi: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
+    """Rows of ``kinematics.forward_jacobian(phi) @ v``, in closed form.
+
+    ``k1`` and ``k2`` are the ``right_jacobian_coefficients`` of ``|phi|``:
+    scalars, or columns with one row per row of ``phi``.  No domain check:
+    the coning signal keeps ``|phi|`` below pi/2.
+    """
     c1 = _cross(phi, v)
-    return v - k1[:, None] * c1 + k2[:, None] * _cross(phi, c1)
+    return v - k1 * c1 + k2 * _cross(phi, c1)
+
+
+@lru_cache(maxsize=8)
+def _cone_coefficients(cone_angle: float) -> tuple[float, float]:
+    return tuple(float(k) for k in right_jacobian_coefficients(cone_angle))
 
 
 def omega_many(signal, t: np.ndarray) -> np.ndarray:
@@ -103,34 +126,50 @@ def omega_many(signal, t: np.ndarray) -> np.ndarray:
             out += amp * np.sin(freq * t + phase)[:, None]
         return out
     if isinstance(signal, ConingRotationVector):
+        # |phi| is the cone angle at every t: one pair of coefficients,
+        # computed once per cone.
         a = signal.cone_angle
         w = signal.precession_rate
         cw, sw = np.cos(w * t), np.sin(w * t)
         zero = np.zeros_like(t)
         phi = np.stack([a * cw, a * sw, zero], axis=1)
         phi_dot = np.stack([-a * w * sw, a * w * cw, zero], axis=1)
-        return right_jacobian_apply(phi, phi_dot)
+        return right_jacobian_apply(*_cone_coefficients(a), phi, phi_dot)
     raise TypeError(f"unknown signal type {type(signal).__name__}")
+
+
+def _per_call(rows: int) -> int:
+    """How many batches of ``rows`` times one ``omega_many`` call takes:
+    as many as fit in ``BLOCK`` rows, and at least one."""
+    return max(1, BLOCK // rows)
 
 
 def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """``trajectory.synth_delta_theta`` over every ``[t0[i], t1[i]]``.
 
     Default panel count, and the panel and node order of the scalar rule.
-    The caller guarantees ``t1 > t0``.
+    The rates of several nodes come from one ``omega_many`` call of at most
+    ``max(BLOCK, intervals)`` rows; they are accumulated node by node, so
+    the result does not depend on how the nodes are batched.  The caller
+    guarantees ``t1 > t0``.
     """
     panels = np.ceil((t1 - t0) * _rate_scale(signal) / math.pi) + 2.0
     out = np.empty((t0.size, 3))
+    nodes = _GL_NODES.size
     for count in np.unique(panels):
         rows = panels == count
         start = t0[rows]
         h = (t1[rows] - start) / count
         half = 0.5 * h
         acc = np.zeros((start.size, 3))
-        for j in range(int(count)):
-            mid = start + j * h + half
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-                acc = acc + w * omega_many(signal, mid + half * x)
+        total, per = int(count) * nodes, _per_call(start.size)
+        for q0 in range(0, total, per):
+            q = np.arange(q0, min(q0 + per, total))
+            mid = start + (q // nodes)[:, None] * h + half
+            t = mid + half * _GL_NODES[q % nodes][:, None]
+            omega = omega_many(signal, t.ravel()).reshape(q.size, -1, 3)
+            for w, rate in zip(_GL_WEIGHTS[q % nodes], omega):
+                acc = acc + w * rate
         out[rows] = acc * half[:, None]
     return out
 
@@ -173,6 +212,14 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
     """
     t_k = t0 + np.arange(k0, k1) * dt
     n = t_k.size
+    # The stage rates do not depend on the stages: evaluate each distinct
+    # stage time once, several of them per omega_many call.
+    nodes, node_of = np.unique(tab.c, return_inverse=True)
+    rates = []
+    per = _per_call(n)
+    for i in range(0, nodes.size, per):
+        t = t_k + dt * nodes[i:i + per, None]
+        rates.extend(omega_many(signal, t.ravel()).reshape(-1, n, 3))
     stages = []
     angles = np.zeros((tab.n, n))
     for nu in range(tab.n):
@@ -181,7 +228,7 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
             a_nl = tab.a[nu, l]
             if a_nl != 0.0:
                 psi = psi + a_nl * stages[l]
-        omega = omega_many(signal, t_k + dt * tab.c[nu])
+        omega = rates[node_of[nu]]
         # kinematics.bortz_rhs, term by term in the same order.
         if mode is JacobianMode.EXACT_CLOSED_FORM:
             px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]

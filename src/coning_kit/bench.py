@@ -2,10 +2,11 @@
 
 Each (method, step size) cell propagates the attitude over the full horizon,
 starting from the identity, and records the principal angle between the
-final attitude and a step-doubled reference.  Methods driven by
-instantaneous rate samples run the generic solver on the rotation-vector
-ODE; methods driven by integrated increments synthesize exact measurements
-from the signal and apply the coning corrections.
+final attitude and the truth: closed form where the signal has one,
+otherwise step-doubled.  Methods driven by instantaneous rate samples run
+the generic solver on the rotation-vector ODE; methods driven by integrated
+increments synthesize exact measurements from the signal and apply the
+coning corrections.
 
 Propagation runs on the array engine of ``_batch``.  Every step starts from
 a zero rotation vector, so a method's per-step rotation vectors are
@@ -18,16 +19,14 @@ functions, so a recorded error may move in its last digits; the tests hold
 every record of the default sweeps to 1e-6 relative, or 1e-12 absolute (the
 default reference tolerance), of the loop's values.
 
-Cells are independent and may run in parallel; the assembled report is keyed
-by (method, dt) and is bitwise identical regardless of scheduling (wall
-times excepted).
+The report is method-major and dt-descending; repeated runs give bitwise
+identical records (wall times excepted).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -40,17 +39,22 @@ from .kinematics import JacobianMode
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4)
 from .so3 import attitude_error_angle
-from .trajectory import (AnalyticAttitudeSignal, preset, reference_attitude,
-                         PRESET_NAMES)
+from .trajectory import (MAX_SUBSTEPS, AnalyticAttitudeSignal,
+                         exact_attitude, preset, reference_attitude,
+                         reference_substeps, PRESET_NAMES)
 
 #: Errors at or below this value sit in the roundoff floor and are excluded
-#: from order fits.
+#: from order fits against a closed-form truth.
 ERROR_FLOOR = 1e-14
+
+#: Against a step-doubled reference, order fits exclude errors at or below
+#: this multiple of its tolerance: the reference cannot resolve them.
+REFERENCE_MARGIN = 10.0
 
 #: Largest number of sensor intervals one cell may propagate: its step count,
 #: times the minor steps for the two-speed method.  ``validate_config``
 #: rejects a sweep above it before any work starts.
-MAX_CELL_STEPS = 2 ** 20
+MAX_CELL_STEPS = MAX_SUBSTEPS
 
 
 class MethodKind(Enum):
@@ -194,18 +198,20 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     return _batch.compose_steps(produce, n, block)
 
 
-def estimate_order(records) -> tuple[float, float]:
+def estimate_order(records, floor: float = ERROR_FLOOR
+                   ) -> tuple[float, float]:
     """Least-squares slope of log(error) against log(dt).
 
-    Records at or below the roundoff floor are excluded before fitting;
-    at least 3 usable records with distinct step sizes are required
-    (``InsufficientData`` otherwise).  Returns (slope, RMS fit residual).
+    Records at or below ``floor``, the smallest error the truth resolves,
+    are excluded before fitting; at least 3 usable records with distinct
+    step sizes are required (``InsufficientData`` otherwise).  Returns
+    (slope, RMS fit residual).
     """
-    usable = [r for r in records if r.final_error_angle > ERROR_FLOOR]
+    usable = [r for r in records if r.final_error_angle > floor]
     dts = sorted({r.dt for r in usable})
     if len(usable) < 3 or len(dts) < 3:
         raise InsufficientData(
-            f"order fit needs >= 3 records above the {ERROR_FLOOR:.0e} "
+            f"order fit needs >= 3 records above the {floor:.0e} "
             f"floor with distinct step sizes, have {len(usable)}")
     x = np.log([r.dt for r in usable])
     y = np.log([r.final_error_angle for r in usable])
@@ -219,8 +225,9 @@ def validate_config(cfg: SweepConfig) -> None:
     """Raise ``ConfigError`` on any invalid sweep setting.
 
     Besides the shape of the sweep this bounds its work: every value must be
-    finite, and no cell may propagate more than ``MAX_CELL_STEPS`` sensor
-    intervals.
+    finite, no cell may propagate more than ``MAX_CELL_STEPS`` sensor
+    intervals, and a step-doubled reference may not start above its budget
+    of ``MAX_SUBSTEPS`` substeps.
     """
     if cfg.signal not in PRESET_NAMES:
         raise ConfigError(
@@ -251,46 +258,51 @@ def validate_config(cfg: SweepConfig) -> None:
                 f"{method.label()} at dt={cfg.step_sizes[-1]!r} needs "
                 f"{intervals} sensor intervals, above the per-cell cap of "
                 f"{MAX_CELL_STEPS}")
+    signal = preset(cfg.signal)
+    if exact_attitude(signal, 0.0) is None:
+        start = reference_substeps(signal, 0.0, cfg.horizon)
+        if start > MAX_SUBSTEPS:
+            raise ConfigError(
+                f"the step-doubled reference over horizon {cfg.horizon!r} "
+                f"starts at {start} substeps, above its budget of "
+                f"{MAX_SUBSTEPS}")
 
 
-def run_sweep(cfg: SweepConfig, max_workers: int | None = None
-              ) -> ConvergenceReport:
+def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Run every (method, dt) cell of the sweep and fit per-method orders.
 
-    The reference attitude is computed once for the signal/horizon.  With
-    ``max_workers`` > 1 the cells run on a thread pool; record values are
-    independent of the schedule.
+    The truth is computed once for the signal/horizon: closed form where
+    the signal has one, otherwise step-doubled.  Order fits exclude the
+    records that truth cannot resolve: at or below ``ERROR_FLOOR`` against
+    a closed form, at or below ``REFERENCE_MARGIN`` times the tolerance
+    against the step-doubled reference.
     """
     validate_config(cfg)
     signal = preset(cfg.signal)
-    ref = reference_attitude(signal, 0.0, cfg.horizon, cfg.tolerance)
-
-    def run_cell(method: MethodId, dt: float) -> ErrorRecord:
-        start = time.perf_counter()
-        final = propagate(method, signal, dt, cfg.horizon, cfg.jacobian_mode)
-        err = attitude_error_angle(final, ref)
-        return ErrorRecord(method=method, dt=dt, final_error_angle=err,
-                           steps=_step_count(dt, cfg.horizon),
-                           wall_time=time.perf_counter() - start)
-
-    cells = [(method, dt) for method in cfg.methods
-             for dt in cfg.step_sizes]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda c: run_cell(*c), cells))
+    truth = exact_attitude(signal, cfg.horizon)
+    if truth is not None:
+        ref = truth @ exact_attitude(signal, 0.0).T
+        floor = ERROR_FLOOR
     else:
-        results = [run_cell(method, dt) for method, dt in cells]
+        ref = reference_attitude(signal, 0.0, cfg.horizon, cfg.tolerance)
+        floor = REFERENCE_MARGIN * cfg.tolerance
 
-    by_method = {}
-    for record in results:
-        by_method.setdefault(record.method, []).append(record)
     summaries = []
     for method in cfg.methods:
-        records = tuple(sorted(by_method[method], key=lambda r: -r.dt))
+        records = []
+        for dt in cfg.step_sizes:
+            start = time.perf_counter()
+            final = propagate(method, signal, dt, cfg.horizon,
+                              cfg.jacobian_mode)
+            err = attitude_error_angle(final, ref)
+            records.append(ErrorRecord(
+                method=method, dt=dt, final_error_angle=err,
+                steps=_step_count(dt, cfg.horizon),
+                wall_time=time.perf_counter() - start))
         try:
-            order, residual = estimate_order(records)
+            order, residual = estimate_order(records, floor)
         except InsufficientData:
             order, residual = None, None
-        summaries.append(MethodSummary(method=method, records=records,
+        summaries.append(MethodSummary(method=method, records=tuple(records),
                                        order=order, fit_residual=residual))
     return ConvergenceReport(summaries=tuple(summaries))

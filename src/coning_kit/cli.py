@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import re
 import sys
 
@@ -156,23 +155,6 @@ def _as_int(key, value):
         raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("CONING_KIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CONING_KIT_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigError(
-            f"CONING_KIT_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def _write_records(report, cfg: SweepConfig, handle, out_format: str) -> None:
     delimiter = "\t" if out_format == "tsv" else ","
     writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
@@ -189,7 +171,7 @@ def _write_records(report, cfg: SweepConfig, handle, out_format: str) -> None:
 
 def _cmd_sweep(args) -> int:
     cfg, output, out_format = _build_sweep_config(args)
-    report = bench.run_sweep(cfg, max_workers=_max_workers())
+    report = bench.run_sweep(cfg)
     if output == "-":
         _write_records(report, cfg, sys.stdout, out_format)
     else:
@@ -300,7 +282,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--horizon", help="propagation horizon (s)")
     sweep.add_argument("--jacobian-mode", dest="jacobian_mode",
                        help="exact or approx")
-    sweep.add_argument("--tolerance", help="reference tolerance (rad)")
+    sweep.add_argument("--tolerance", help="step-doubled reference "
+                       "tolerance (rad); the coning truth is closed form "
+                       "and does not use it")
     sweep.add_argument("--output", help="output path, or - for stdout")
     sweep.add_argument("--format", help="csv or tsv")
     sweep.add_argument("--config", help="key = value config file; flags "
@@ -340,3 +324,7 @@ def run_cli(argv) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

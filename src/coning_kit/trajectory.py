@@ -32,6 +32,11 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 #: Names accepted by ``preset``.
 PRESET_NAMES = ("poly3", "fourier3", "coning")
 
+#: Most steps one propagation may take: a sweep cell's sensor intervals
+#: (``bench.MAX_CELL_STEPS``), or the substeps of one refinement of
+#: ``reference_attitude``.
+MAX_SUBSTEPS = 2 ** 20
+
 
 @dataclass(frozen=True, eq=False)
 class PolynomialRate:
@@ -211,6 +216,12 @@ def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     return _batch.compose_steps(produce, substeps)
 
 
+def reference_substeps(signal: AnalyticAttitudeSignal, t0: float,
+                       t1: float) -> int:
+    """Substeps of the coarsest refinement of ``reference_attitude``."""
+    return max(8, math.ceil((t1 - t0) * max(_rate_scale(signal), 1.0)))
+
+
 def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
                        tol: float) -> np.ndarray:
     """Attitude accumulated over ``[t0, t1]``, refined to tolerance ``tol``.
@@ -221,22 +232,29 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     engine of ``bench.propagate``: substep rotation vectors in blocks, DCMs
     multiplied in a pairwise tree, and any product whose orthogonality
     defect exceeds 1e-12 projected back onto SO(3).  The substep is halved
-    until successive refinements agree to within ``tol`` (rad); raises
-    ``NoConvergence`` after 24 halvings, and ``ValueError`` unless
-    ``tol >= 1e-13`` (NaN included).  The returned matrix is the rotation
-    relative to the attitude at ``t0`` (identity initial condition).
+    until successive refinements agree to within ``tol`` (rad).  No
+    refinement may use more than ``MAX_SUBSTEPS`` substeps: raises
+    ``NoConvergence`` when the next one would, without starting it, and
+    ``ValueError`` unless ``tol >= 1e-13`` (NaN included).  The returned
+    matrix is the rotation relative to the attitude at ``t0`` (identity
+    initial condition).
     """
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
     if not tol >= 1e-13:
         raise ValueError(f"tolerance must be >= 1e-13 rad, got {tol!r}")
-    n = max(8, math.ceil((t1 - t0) * max(_rate_scale(signal), 1.0)))
+    n = reference_substeps(signal, t0, t1)
+    if n > MAX_SUBSTEPS:
+        raise NoConvergence(
+            f"reference needs {n} substeps to start, above the budget of "
+            f"{MAX_SUBSTEPS}")
     prev = _rk4_attitude(signal, t0, t1, n)
-    for _ in range(24):
+    while 2 * n <= MAX_SUBSTEPS:
         n *= 2
         curr = _rk4_attitude(signal, t0, t1, n)
         if attitude_error_angle(curr, prev) <= tol:
             return curr
         prev = curr
     raise NoConvergence(
-        f"reference refinement did not reach {tol!r} rad within 24 halvings")
+        f"reference refinement did not reach {tol!r} rad within the budget "
+        f"of {MAX_SUBSTEPS} substeps")

@@ -11,6 +11,9 @@ to the magnitude of the compared quantity:
   a few ulp observed, 1e-14 allowed;
 - ``CHAIN_TOL`` per product for a chain of rotations, on the attitude
   error angle.
+
+How many node or stage times share one ``omega_many`` call changes nothing:
+the batched results equal those of one call per node bit for bit.
 """
 
 import math
@@ -21,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coning_kit import _batch
-from coning_kit.bench import MethodId, MethodKind, propagate
+from coning_kit.bench import (MethodId, MethodKind, SweepConfig, propagate,
+                              run_sweep)
+from coning_kit.cli import parse_method
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import (AngleOutOfDomain, NotNearOrthogonal,
@@ -85,6 +90,16 @@ class TestSignals:
         else:
             assert_rows_close(got, want)
 
+    @pytest.mark.parametrize("cone_angle", [1e-3, 9e-3, 1.1e-2, 0.05, 1.5])
+    def test_cone_rate_from_two_scalars(self, cone_angle):
+        # The cone's Jacobian coefficients come from the cone angle, once,
+        # not from |phi| row by row; on both sides of the series branch
+        # they hold ROW_TOL relative against omega_at.
+        signal = ConingRotationVector(cone_angle, 10.0)
+        t = np.linspace(-3.0, 3.0, 64)
+        want = np.array([omega_at(signal, x) for x in t])
+        assert_rows_close(_batch.omega_many(signal, t), want)
+
     @given(seed=seeds)
     @settings(max_examples=60, deadline=None)
     def test_closed_form_jacobian_matches_forward_jacobian(self, seed):
@@ -96,7 +111,9 @@ class TestSignals:
         phi = direction * (10.0 ** rng.uniform(-9.0, math.log10(3.0), n))[
             :, None]
         v = rng.normal(size=(n, 3))
-        got = _batch.right_jacobian_apply(phi, v)
+        k1, k2 = _batch.right_jacobian_coefficients(
+            np.sqrt((phi * phi).sum(axis=1)))
+        got = _batch.right_jacobian_apply(k1[:, None], k2[:, None], phi, v)
         for row, p, w in zip(got, phi, v):
             assert_rows_close(row, forward_jacobian(p) @ w)
 
@@ -116,6 +133,55 @@ class TestSignals:
                 assert np.array_equal(g, w)
             else:
                 assert_rows_close(g, w)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @given(seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_results_do_not_depend_on_the_batch(self, kind, seed):
+        # BLOCK = 1 evaluates one node or stage time per call; a huge BLOCK
+        # evaluates all of them in one.
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        n = int(rng.integers(1, 40))
+        t0 = rng.uniform(-5.0, 5.0, n)
+        t1 = t0 + 10.0 ** rng.uniform(-3.0, 0.7, n)
+        dt = float(10.0 ** rng.uniform(-3.0, -1.5))
+        results = []
+        for block in (1, 10 ** 6):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_batch, "BLOCK", block)
+                results.append(
+                    [_batch.synth_many(signal, t0, t1)]
+                    + [_batch.rate_steps(signal, 0.5, dt, factory(), mode,
+                                         3, 3 + n)
+                       for factory in TABLEAUX for mode in JacobianMode])
+        for one, batched in zip(*results):
+            assert np.array_equal(one, batched)
+
+    @pytest.mark.parametrize("signal", ["coning", "fourier3"])
+    def test_default_sweep_calls_stay_within_the_row_bound(self, signal,
+                                                           monkeypatch):
+        # Batching may not grow the working set, which drives peak memory:
+        # no call takes more rows than the largest unbatched call, a block
+        # of steps or the increments of one, BLOCK + 2 for theta3.
+        rows = []
+        omega_many = _batch.omega_many
+
+        def counted(sig, t):
+            rows.append(t.size)
+            return omega_many(sig, t)
+
+        monkeypatch.setattr(_batch, "omega_many", counted)
+        run_sweep(SweepConfig(
+            signal=signal,
+            methods=tuple(parse_method(m) for m in (
+                "fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
+                "twospeed4").split(",")),
+            step_sizes=tuple(0.25 * 2.0 ** -k for k in range(7)),
+            horizon=4.0))
+        assert rows and max(rows) <= _batch.BLOCK + 2
 
 
 class TestRateSteps:

@@ -3,13 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coning_kit.bench import (MAX_CELL_STEPS, ErrorRecord, MethodId,
-                              MethodKind, SweepConfig, estimate_order,
-                              propagate, run_sweep, validate_config)
+from coning_kit import bench
+from coning_kit.bench import (ERROR_FLOOR, MAX_CELL_STEPS, ErrorRecord,
+                              MethodId, MethodKind, SweepConfig,
+                              estimate_order, propagate, run_sweep,
+                              validate_config)
 from coning_kit.errors import ConfigError, InsufficientData
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import attitude_error_angle, dcm_from_rotation_vector
-from coning_kit.trajectory import PolynomialRate, preset
+from coning_kit.trajectory import (MAX_SUBSTEPS, PolynomialRate,
+                                   exact_attitude, preset, reference_attitude)
 
 ALL_METHODS = [MethodId(kind, 4) if kind is MethodKind.TWO_SPEED_CLASSIC
                else MethodId(kind) for kind in MethodKind]
@@ -53,6 +56,14 @@ class TestEstimateOrder:
         slope_a, _ = estimate_order(records)
         slope_b, _ = estimate_order(polluted)
         assert slope_a == slope_b
+
+    def test_floor_is_exclusive_and_adjustable(self):
+        m = MethodId(MethodKind.RK4_OMEGA)
+        records = [record(m, dt, 0.37 * dt ** 2)
+                   for dt in (0.5, 0.25, 0.125, 0.0625)]
+        at_floor = records + [record(m, 1e-4, 1e-11)]
+        assert estimate_order(at_floor, 1e-11) == estimate_order(records)
+        assert estimate_order(at_floor) != estimate_order(records)
 
     def test_insufficient_data(self):
         m = MethodId(MethodKind.RK4_OMEGA)
@@ -144,6 +155,17 @@ class TestValidateConfig:
             validate_config(dataclasses.replace(
                 self.good(), methods=two_speed, step_sizes=(dt,)))
 
+    def test_reference_start_budget(self):
+        # 10^6 steps of 1 s pass the cell cap; fourier3's reference would
+        # start at 2.2e6 substeps, above its budget.  The coning truth is
+        # closed form and needs no reference.
+        cfg = dataclasses.replace(self.good(), step_sizes=(1.0,),
+                                  horizon=1e6)
+        assert 1e6 <= MAX_CELL_STEPS
+        validate_config(cfg)
+        with pytest.raises(ConfigError, match=str(MAX_SUBSTEPS)):
+            validate_config(dataclasses.replace(cfg, signal="fourier3"))
+
     def test_rejects_empty_lists(self):
         with pytest.raises(ConfigError):
             validate_config(SweepConfig(signal="coning", methods=(),
@@ -184,16 +206,48 @@ class TestRunSweep:
         exmid = report.summaries[0]
         assert 1.6 <= exmid.order <= 2.4
 
-    def test_deterministic_across_parallelism(self):
-        cfg = self.small_config()
-        serial = run_sweep(cfg, max_workers=None)
-        threaded = run_sweep(cfg, max_workers=4)
-        for a, b in zip(serial.summaries, threaded.summaries):
-            assert a.method == b.method
-            assert a.order == b.order
-            for ra, rb in zip(a.records, b.records):
-                assert ra.final_error_angle == rb.final_error_angle
-                assert ra.dt == rb.dt and ra.steps == rb.steps
+    def test_coning_truth_is_closed_form(self, monkeypatch):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("step-doubled reference called")
+
+        monkeypatch.setattr(bench, "reference_attitude", no_reference)
+        cfg = SweepConfig(signal="coning",
+                          methods=(MethodId(MethodKind.RK4_OMEGA),),
+                          step_sizes=(0.25,), horizon=1.0)
+        rec = run_sweep(cfg).summaries[0].records[0]
+        signal = preset("coning")
+        truth = exact_attitude(signal, 1.0) @ exact_attitude(signal, 0.0).T
+        final = propagate(cfg.methods[0], signal, 0.25, 1.0)
+        assert rec.final_error_angle == attitude_error_angle(final, truth)
+
+    def test_other_truth_is_step_doubled(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return reference_attitude(*args)
+
+        monkeypatch.setattr(bench, "reference_attitude", counted)
+        run_sweep(self.small_config())
+        assert calls == [(0.0, 1.0, 1e-12)]
+
+    def test_fit_excludes_records_the_reference_cannot_resolve(self):
+        # fourier3 rk4omega at dt = 1/256 is about 4e-13: above the roundoff
+        # floor, but inside ten times the 1e-12 reference tolerance, as is
+        # the 6.6e-12 record at dt = 1/128.  The fit must leave both out.
+        cfg = SweepConfig(signal="fourier3",
+                          methods=(MethodId(MethodKind.RK4_OMEGA),),
+                          step_sizes=tuple(0.25 * 2.0 ** -k
+                                           for k in range(7)),
+                          horizon=4.0)
+        summary = run_sweep(cfg).summaries[0]
+        finest = summary.records[-1]
+        assert ERROR_FLOOR < finest.final_error_angle <= 1e-12
+        resolved = [r for r in summary.records
+                    if r.final_error_angle > 10 * cfg.tolerance]
+        assert len(resolved) == 5
+        assert summary.order == estimate_order(resolved)[0]
+        assert summary.order != estimate_order(summary.records)[0]
 
     def test_halving_monotonic_in_asymptotic_regime(self):
         cfg = SweepConfig(signal="fourier3",

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from coning_kit import bench
 from coning_kit.bench import MethodKind
 from coning_kit.cli import parse_method, run_cli
 from coning_kit.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestParseMethod:
@@ -118,13 +124,17 @@ class TestSweepCommand:
         (["--horizon", "inf"], "horizon"),
         (["--tolerance", "nan"], "tolerance"),
         (["--halvings", "40"], "cap"),
-    ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40"])
+        (["--signal", "fourier3", "--horizon", "1000000", "--dt-max", "1",
+          "--halvings", "0"], "budget"),
+    ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40",
+            "reference-budget"])
     def test_unbounded_work_rejected_before_sweeping(self, flags, named,
                                                      tmp_path, monkeypatch,
                                                      capsys):
         # Each once escaped validation: NaN and inf horizons as a traceback
         # from round(), a NaN tolerance and 40 halvings as a sweep that
-        # never ends.  None may start any propagation.
+        # never ends, a 10^6 s fourier3 horizon as a step-doubled reference
+        # that starts at 2.2e6 substeps.  None may start any propagation.
         def no_work(*args, **kwargs):
             raise AssertionError("sweep started")
 
@@ -163,20 +173,6 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "signl" in err and "signal" in err
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        out1, args = sweep_args(tmp_path)
-        serial = _data_columns(out1, args)
-        out1.unlink()
-        monkeypatch.setenv("CONING_KIT_THREADS", "3")
-        threaded = _data_columns(out1, args)
-        assert serial == threaded
-
-    def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CONING_KIT_THREADS", "many")
-        out, args = sweep_args(tmp_path)
-        assert run_cli(args) == 2
-        assert "CONING_KIT_THREADS" in capsys.readouterr().err
-
 
 def _data_columns(path, args):
     assert run_cli(args) == 0
@@ -184,3 +180,20 @@ def _data_columns(path, args):
         rows = list(csv.reader(handle))
     # all columns except the informational wall time
     return [row[:5] for row in rows]
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--horizon", "nan"], 2)],
+                         ids=["ok", "horizon-nan"])
+def test_python_dash_m(flags, code):
+    # The package under test, whatever copy is installed.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coning_kit", "sweep", "--signal", "poly3",
+         "--methods", "exmid", "--dts", "0.25", "--horizon", "0.5", *flags],
+        capture_output=True, text=True, env=env, timeout=60, check=False)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.startswith(
+            "method,jacobian_mode,dt,steps,final_error_rad,wall_time_s\n")
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")

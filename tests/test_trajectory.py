@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from coning_kit import trajectory
 from coning_kit.coning import affine_coning_oracle
+from coning_kit.errors import NoConvergence
 from coning_kit.kinematics import forward_jacobian, jinv
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import (attitude_error_angle, dcm_from_rotation_vector,
@@ -205,6 +207,26 @@ class TestReferenceAttitude:
         a = reference_attitude(signal, 0.0, 0.5, 1e-12)
         b = reference_attitude(signal, 0.0, 0.5, 1e-12)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget, levels", [(100, [9, 18, 36, 72]),
+                                                (8, [])])
+    def test_refinement_stays_within_the_substep_budget(self, budget, levels,
+                                                         monkeypatch):
+        # fourier3 over 4 s starts at 9 substeps and needs far more than
+        # 100 to agree to 1e-13: the refinement stops at the last level
+        # that fits, or before any work when the first does not.
+        used = []
+        rk4_attitude = trajectory._rk4_attitude
+
+        def counted(signal, t0, t1, substeps):
+            used.append(substeps)
+            return rk4_attitude(signal, t0, t1, substeps)
+
+        monkeypatch.setattr(trajectory, "MAX_SUBSTEPS", budget)
+        monkeypatch.setattr(trajectory, "_rk4_attitude", counted)
+        with pytest.raises(NoConvergence, match=str(budget)):
+            reference_attitude(preset("fourier3"), 0.0, 4.0, 1e-13)
+        assert used == levels
 
     def test_rejects_bad_arguments(self):
         signal = preset("poly3")
