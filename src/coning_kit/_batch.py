@@ -7,8 +7,10 @@ rotation vectors are independent of one another.  A *producer* returns the
 - ``rate_steps`` runs the Runge-Kutta stages of the rotation-vector ODE on
   the signal's rate at the stage times (``rk.integrate_attitude_step``);
 - ``miller_steps``, ``rk4_theta2_steps``, ``rk4_theta3_steps`` and
-  ``two_speed_steps`` synthesize the increments by interval quadrature
-  (``trajectory.synth_delta_theta``) and apply one ``coning`` correction.
+  ``two_speed_steps`` read their increments from an ``IncrementGrid``,
+  which synthesizes each sensor interval once by interval quadrature
+  (``synth_many``, after ``trajectory.synth_delta_theta``) for all of its
+  readers, and apply one ``coning`` correction.
 
 Both kinds of producer get their rates from ``omega_many``.  One call takes
 the times of as many quadrature nodes or RK stages as fit in ``BLOCK`` rows,
@@ -63,8 +65,11 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise cross product, in the operation order of ``so3.cross``."""
     ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
     vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    return np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx],
-                    axis=1)
+    out = np.empty((u.shape[0], 3))
+    np.subtract(uy * vz, uz * vy, out=out[:, 0])
+    np.subtract(uz * vx, ux * vz, out=out[:, 1])
+    np.subtract(ux * vy, uy * vx, out=out[:, 2])
+    return out
 
 
 # ------------------------------------------------------------- signals
@@ -297,10 +302,43 @@ def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
     return theta + 0.5 * half_sum + twelfth_sum / 12.0
 
 
-def _increments(signal, dt: float, first: int, last: int) -> np.ndarray:
-    """Increments over ``[k dt, (k + 1) dt]`` for k = first..last-1."""
-    k = np.arange(first, last, dtype=float)
-    return synth_many(signal, k * dt, (k + 1.0) * dt)
+class IncrementGrid:
+    """Synthetic increments over ``[k h, (k + 1) h]`` for k = -1 .. n.
+
+    Every increment method reads the sensor output of one interval width:
+    the single-speed methods at step size ``dt`` read width ``dt``, the
+    two-speed method reads ``dt / minor``.  A grid synthesizes each interval
+    of its width once, and every reader takes its increments from it.  It is
+    filled in chunks of at most ``BLOCK + 2`` intervals, so no
+    ``omega_many`` call grows with the grid; synthesis is row-wise, so the
+    chunks change no bits.  Row ``i`` holds interval ``k = i - 1``.
+    """
+
+    def __init__(self, signal, h: float, n: int):
+        self.signal = signal
+        self.h = h
+        k = np.arange(-1, n + 1, dtype=float)
+        parts = [k[i:i + BLOCK + 2] for i in range(0, k.size, BLOCK + 2)]
+        self.values = np.concatenate(
+            [synth_many(signal, p * h, (p + 1.0) * h) for p in parts])
+
+    def span(self, first: int, last: int) -> np.ndarray:
+        """Increments of the grid's intervals k = first..last-1."""
+        return self.values[first + 1:last + 1]
+
+    def take(self, k: np.ndarray, t0: np.ndarray,
+             t1: np.ndarray) -> np.ndarray:
+        """Increments over ``[t0[i], t1[i]]``, meant as grid interval ``k[i]``.
+
+        An interval comes from the grid only where both of its endpoints
+        equal the grid interval's bit for bit; the others are synthesized.
+        """
+        out = self.values[k + 1]
+        kf = k.astype(float)
+        miss = (t0 != kf * self.h) | (t1 != (kf + 1.0) * self.h)
+        if miss.any():
+            out[miss] = synth_many(self.signal, t0[miss], t1[miss])
+        return out
 
 
 def _windowed(increments: np.ndarray) -> np.ndarray:
@@ -311,28 +349,34 @@ def _windowed(increments: np.ndarray) -> np.ndarray:
     return increments
 
 
-def miller_steps(signal, dt: float, k0: int, k1: int) -> np.ndarray:
-    """Single-speed corrected rotation vectors of steps k0..k1-1."""
-    inc = _increments(signal, dt, k0 - 1, k1)
+def miller_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
+    """Single-speed corrected rotation vectors of steps k0..k1-1; step k
+    spans the grid's interval k."""
+    inc = grid.span(k0 - 1, k1)
     return miller(inc[:-1], inc[1:])
 
 
-def rk4_theta2_steps(signal, dt: float, k0: int, k1: int) -> np.ndarray:
+def rk4_theta2_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
     """Four-stage solver (prior, current) rotation vectors, steps k0..k1-1."""
-    inc = _windowed(_increments(signal, dt, k0 - 1, k1))
-    return rk4_theta2(inc[:-1], inc[1:], dt)
+    inc = _windowed(grid.span(k0 - 1, k1))
+    return rk4_theta2(inc[:-1], inc[1:], grid.h)
 
 
-def rk4_theta3_steps(signal, dt: float, k0: int, k1: int) -> np.ndarray:
+def rk4_theta3_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
     """Four-stage solver (prior, current, next) rotation vectors."""
-    inc = _windowed(_increments(signal, dt, k0 - 1, k1 + 1))
+    inc = _windowed(grid.span(k0 - 1, k1 + 1))
     return rk4_theta3(inc[:-2], inc[1:-1], inc[2:])
 
 
-def two_speed_steps(signal, dt: float, minor: int, k0: int,
+def two_speed_steps(grid: IncrementGrid, dt: float, minor: int, k0: int,
                     k1: int) -> np.ndarray:
     """Two-speed rotation vectors of steps k0..k1-1, ``minor`` increments
-    each, with the interval times of the scalar loop."""
+    each, with the interval times of the scalar loop.
+
+    Minor interval j of step k is interval ``k minor + j`` of ``grid``,
+    whose width is ``dt / minor``; it is taken from the grid where its
+    times equal the grid's.
+    """
     sub = dt / minor
     start = np.arange(k0, k1, dtype=float)[:, None] * dt
     j = np.arange(minor, dtype=float)
@@ -341,9 +385,9 @@ def two_speed_steps(signal, dt: float, minor: int, k0: int,
     else:
         last_start = (k0 - 1) * dt
         first = (last_start + (minor - 1) * sub, last_start + minor * sub)
-    inc = synth_many(signal,
-                     np.append(first[0], start + j * sub),
-                     np.append(first[1], start + (j + 1.0) * sub))
+    inc = grid.take(np.arange(k0 * minor - 1, k1 * minor),
+                    np.append(first[0], start + j * sub),
+                    np.append(first[1], start + (j + 1.0) * sub))
     windows = inc[1:].reshape(k1 - k0, minor, 3)
     before = np.concatenate([inc[:1], windows[:-1, -1]])
     return two_speed(windows, before)
@@ -391,7 +435,9 @@ def chain_product(mats: np.ndarray) -> np.ndarray:
     while mats.shape[0] > 1:
         pairs = mats.shape[0] // 2
         prod = np.matmul(mats[1:2 * pairs:2], mats[0:2 * pairs:2])
-        g = np.matmul(prod.transpose(0, 2, 1), prod) - _EYE3
+        # matmul is faster on a contiguous transpose; same products.
+        g = np.matmul(np.ascontiguousarray(prod.transpose(0, 2, 1)),
+                      prod) - _EYE3
         defect = np.sqrt((g * g).sum(axis=(1, 2)))
         for i in np.flatnonzero(defect > DRIFT_TOL):
             prod[i] = orthonormalize(prod[i])

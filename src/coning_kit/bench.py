@@ -13,14 +13,19 @@ a zero rotation vector, so a method's per-step rotation vectors are
 independent and are computed for blocks of ``_batch.BLOCK`` steps at once;
 one composer multiplies their DCMs in a pairwise tree.  The single drift
 control is the rule of ``so3.compose``: a product whose orthogonality defect
-exceeds 1e-12 is projected back onto SO(3).  The engine groups the
-floating-point work differently from a step-by-step loop over the per-call
-functions, so a recorded error may move in its last digits; the tests hold
-every record of the default sweeps to 1e-6 relative, or 1e-12 absolute (the
-default reference tolerance), of the loop's values.
+exceeds 1e-12 is projected back onto SO(3).  Like a strapdown computer,
+which samples each integrated-rate increment once and gives it to every
+algorithm, a sweep synthesizes each distinct sensor interval once: the
+increment methods share one grid of increments per interval width, and a
+shared increment is bitwise the one a cell would synthesize alone.  The
+engine groups the floating-point work differently from a step-by-step loop
+over the per-call functions, so a recorded error may move in its last
+digits; the tests hold every record of the default sweeps to 1e-6 relative,
+or 1e-12 absolute (the default reference tolerance), of the loop's values.
 
 The report is method-major and dt-descending; repeated runs give bitwise
-identical records (wall times excepted).
+identical records (wall times excepted).  A cell that raises a
+``ConingKitError`` is left out of the records and listed with its reason.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from . import _batch
-from .errors import ConfigError, InsufficientData
+from .errors import ConfigError, ConingKitError, InsufficientData
 from .kinematics import JacobianMode
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4)
@@ -136,12 +141,17 @@ class ErrorRecord:
 
 @dataclass(frozen=True)
 class MethodSummary:
-    """All records of one method plus its fitted order (None if unfittable)."""
+    """All records of one method plus its fitted order (None if unfittable).
+
+    ``failures`` holds ``(dt, reason)`` for each cell that raised instead of
+    giving a record.
+    """
 
     method: MethodId
     records: tuple
     order: float | None
     fit_residual: float | None
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -182,19 +192,43 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     in a pairwise tree, projecting any product whose orthogonality defect
     exceeds 1e-12 back onto SO(3).  The result matches the step-by-step
     composition of the per-call functions to roundoff (see
-    ``tests/test_batch.py``).
+    ``tests/test_batch.py``), and equals the same cell of ``run_sweep`` bit
+    for bit.
     """
-    n = _step_count(dt, horizon)
+    return _propagate(method, signal, dt, _step_count(dt, horizon),
+                      jacobian_mode, {})
+
+
+def _grid_key(method: MethodId, dt: float, n: int):
+    """(interval width, interval count) of the increment grid a cell of
+    ``n`` steps reads, or None for a rate-sample method."""
+    if method.uses_rate_samples:
+        return None
+    minor = method.minor_steps or 1
+    return dt / minor, n * minor
+
+
+def _propagate(method: MethodId, signal, dt: float, n: int,
+               jacobian_mode: JacobianMode, grids: dict) -> np.ndarray:
+    """``propagate`` over ``n`` steps, reading increments from ``grids``.
+
+    ``grids`` maps a ``_grid_key`` to its ``_batch.IncrementGrid``; a grid
+    the cell needs and does not find is synthesized and added.
+    """
     block = _batch.BLOCK
     if method.uses_rate_samples:
         produce = partial(_batch.rate_steps, signal, 0.0, dt,
                           _OMEGA_TABLEAUX[method.kind](), jacobian_mode)
-    elif method.kind is MethodKind.TWO_SPEED_CLASSIC:
-        produce = partial(_batch.two_speed_steps, signal, dt,
+        return _batch.compose_steps(produce, n, block)
+    key = _grid_key(method, dt, n)
+    if key not in grids:
+        grids[key] = _batch.IncrementGrid(signal, *key)
+    if method.kind is MethodKind.TWO_SPEED_CLASSIC:
+        produce = partial(_batch.two_speed_steps, grids[key], dt,
                           method.minor_steps)
         block = max(1, block // method.minor_steps)
     else:
-        produce = partial(_INCREMENT_STEPS[method.kind], signal, dt)
+        produce = partial(_INCREMENT_STEPS[method.kind], grids[key])
     return _batch.compose_steps(produce, n, block)
 
 
@@ -272,9 +306,14 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Run every (method, dt) cell of the sweep and fit per-method orders.
 
     The truth is computed once for the signal/horizon: closed form where
-    the signal has one, otherwise step-doubled.  Order fits exclude the
-    records that truth cannot resolve: at or below ``ERROR_FLOOR`` against
-    a closed form, at or below ``REFERENCE_MARGIN`` times the tolerance
+    the signal has one, otherwise step-doubled.  Cells run step size by step
+    size and share their increment grids: each sensor interval is
+    synthesized once per sweep, and a grid is dropped after the last step
+    size that reads it.  A cell whose propagation raises a
+    ``ConingKitError`` gives no record; its summary lists ``(dt, reason)``
+    in ``failures``.  Order fits use the remaining records and exclude
+    those the truth cannot resolve: at or below ``ERROR_FLOOR`` against a
+    closed form, at or below ``REFERENCE_MARGIN`` times the tolerance
     against the step-doubled reference.
     """
     validate_config(cfg)
@@ -287,22 +326,40 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         ref = reference_attitude(signal, 0.0, cfg.horizon, cfg.tolerance)
         floor = REFERENCE_MARGIN * cfg.tolerance
 
-    summaries = []
-    for method in cfg.methods:
-        records = []
-        for dt in cfg.step_sizes:
+    steps = [_step_count(dt, cfg.horizon) for dt in cfg.step_sizes]
+    last_read = {}
+    for i, (dt, n) in enumerate(zip(cfg.step_sizes, steps)):
+        for method in cfg.methods:
+            key = _grid_key(method, dt, n)
+            if key is not None:
+                last_read[key] = i
+
+    grids = {}
+    records = [[] for _ in cfg.methods]
+    failures = [[] for _ in cfg.methods]
+    for i, (dt, n) in enumerate(zip(cfg.step_sizes, steps)):
+        for j, method in enumerate(cfg.methods):
             start = time.perf_counter()
-            final = propagate(method, signal, dt, cfg.horizon,
-                              cfg.jacobian_mode)
+            try:
+                final = _propagate(method, signal, dt, n, cfg.jacobian_mode,
+                                   grids)
+            except ConingKitError as exc:
+                failures[j].append((dt, f"{type(exc).__name__}: {exc}"))
+                continue
             err = attitude_error_angle(final, ref)
-            records.append(ErrorRecord(
-                method=method, dt=dt, final_error_angle=err,
-                steps=_step_count(dt, cfg.horizon),
+            records[j].append(ErrorRecord(
+                method=method, dt=dt, final_error_angle=err, steps=n,
                 wall_time=time.perf_counter() - start))
+        for key in [key for key, last in last_read.items() if last == i]:
+            grids.pop(key, None)
+
+    summaries = []
+    for method, recs, failed in zip(cfg.methods, records, failures):
         try:
-            order, residual = estimate_order(records, floor)
+            order, residual = estimate_order(recs, floor)
         except InsufficientData:
             order, residual = None, None
-        summaries.append(MethodSummary(method=method, records=tuple(records),
-                                       order=order, fit_residual=residual))
+        summaries.append(MethodSummary(
+            method=method, records=tuple(recs), order=order,
+            fit_residual=residual, failures=tuple(failed)))
     return ConvergenceReport(summaries=tuple(summaries))

@@ -1,8 +1,9 @@
 """Command-line interface: convergence sweeps, self-validation, tableaux.
 
 Exit codes: 0 on success, 1 if any validation check fails, 2 on a
-configuration error.  Sweep data goes to the output path (or stdout);
-human-readable reporting goes to stderr so piped CSV stays clean.
+configuration error or a sweep in which every cell failed.  Sweep data goes
+to the output path (or stdout); human-readable reporting, failed cells
+included, goes to stderr so piped CSV stays clean.
 """
 
 from __future__ import annotations
@@ -178,10 +179,16 @@ def _cmd_sweep(args) -> int:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             _write_records(report, cfg, handle, out_format)
     for summary in report.summaries:
+        for dt, reason in summary.failures:
+            print(f"{summary.method.label()} dt={dt!r}: failed: {reason}",
+                  file=sys.stderr)
         order = (f"{summary.order:.3f}" if summary.order is not None
                  else "n/a")
         print(f"{summary.method.label():>12s}: fitted order {order}",
               file=sys.stderr)
+    if not report.records():
+        print("error: every cell of the sweep failed", file=sys.stderr)
+        return 2
     return 0
 
 

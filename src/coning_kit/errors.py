@@ -25,14 +25,15 @@ class StageEvaluationError(ConingKitError):
     """ODE right-hand side raised inside a Runge-Kutta stage.
 
     The failing stage index (0-based) and evaluation time are recorded; the
-    original exception is attached as ``__cause__``.
+    original exception is attached as ``__cause__``.  The time is stored and
+    printed as a Python float, whatever numeric type it was computed in.
     """
 
     def __init__(self, stage: int, time: float, message: str = ""):
         self.stage = stage
-        self.time = time
+        self.time = float(time)
         detail = message or "right-hand side evaluation failed"
-        super().__init__(f"stage {stage} at t={time!r}: {detail}")
+        super().__init__(f"stage {stage} at t={self.time!r}: {detail}")
 
 
 class DegenerateStep(ConingKitError):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coning_kit import _batch
+from coning_kit import _batch, bench
 from coning_kit.bench import (MethodId, MethodKind, SweepConfig, propagate,
                               run_sweep)
 from coning_kit.cli import parse_method
@@ -183,6 +183,100 @@ class TestBatching:
             horizon=4.0))
         assert rows and max(rows) <= _batch.BLOCK + 2
 
+    def test_default_sweep_synthesizes_each_interval_once(self, monkeypatch):
+        # theta2, rk4theta2 and theta3 at dt read the intervals of width dt,
+        # twospeed4 at dt those of width dt / 4, which theta2 reads at
+        # dt / 4 when that step size is in the sweep.  The grids hold 8194
+        # intervals; synthesized per cell they were 14260.
+        intervals = []
+        synth_many = _batch.synth_many
+
+        def counted(sig, t0, t1):
+            intervals.append(t0.size)
+            return synth_many(sig, t0, t1)
+
+        monkeypatch.setattr(_batch, "synth_many", counted)
+        run_sweep(SweepConfig(
+            signal="coning",
+            methods=tuple(parse_method(m) for m in (
+                "fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
+                "twospeed4").split(",")),
+            step_sizes=tuple(0.25 * 2.0 ** -k for k in range(7)),
+            horizon=4.0))
+        assert sum(intervals) <= 8300
+
+    def test_no_grid_outlives_its_last_reader(self, monkeypatch):
+        # Each grid a cell finds must still be read at this step size or a
+        # later one; none may be left once the sweep is done.
+        cfg = SweepConfig(
+            signal="poly3",
+            methods=tuple(parse_method(m) for m in (
+                "theta2", "twospeed2", "theta3", "twospeed4", "rk4omega")),
+            step_sizes=tuple(0.5 * 2.0 ** -k for k in range(5)),
+            horizon=2.0)
+        readers = {(dt / (m.minor_steps or 1),
+                    round(cfg.horizon / dt) * (m.minor_steps or 1)): dt
+                   for dt in cfg.step_sizes for m in cfg.methods
+                   if not m.uses_rate_samples}
+        seen = []
+        propagate_cell = bench._propagate
+
+        def checked(method, signal, dt, n, mode, grids):
+            for key in grids:
+                assert readers[key] <= dt
+            seen.append(grids)
+            return propagate_cell(method, signal, dt, n, mode, grids)
+
+        monkeypatch.setattr(bench, "_propagate", checked)
+        run_sweep(cfg)
+        assert len(seen) == 25 and seen[-1] == {}
+
+
+class TestIncrementGrid:
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @given(seed=seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_chunked_fill_equals_one_synthesis(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        h = float(10.0 ** rng.uniform(-3.0, 0.0))
+        n = int(rng.integers(0, 30))
+        k = np.arange(-1, n + 1, dtype=float)
+        want = _batch.synth_many(signal, k * h, (k + 1.0) * h)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_batch, "BLOCK", int(rng.integers(1, 8)))
+            grid = _batch.IncrementGrid(signal, h, n)
+        assert np.array_equal(grid.values, want)
+        assert np.array_equal(grid.span(-1, n + 1), want)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    def test_take_synthesizes_exactly_the_unequal_intervals(self, kind,
+                                                            monkeypatch):
+        rng = np.random.default_rng(608)
+        signal = random_signal(rng, kind)
+        h, n = 0.1, 12
+        grid = _batch.IncrementGrid(signal, h, n)
+        k = np.arange(-1, n)
+        t0, t1 = k * h, (k + 1.0) * h
+        t0[[2, 7]] = np.nextafter(t0[[2, 7]], np.inf)
+        t1[5] = np.nextafter(t1[5], -np.inf)
+        asked = []
+        synth_many = _batch.synth_many
+
+        def counted(sig, a, b):
+            asked.append((a.copy(), b.copy()))
+            return synth_many(sig, a, b)
+
+        monkeypatch.setattr(_batch, "synth_many", counted)
+        got = grid.take(k, t0, t1)
+        assert len(asked) == 1
+        assert np.array_equal(asked[0][0], t0[[2, 5, 7]])
+        assert np.array_equal(got, synth_many(signal, t0, t1))
+        # The grid itself is left as it was.
+        assert np.array_equal(grid.values[k + 1][[2, 5, 7]],
+                              synth_many(signal, k[[2, 5, 7]] * h,
+                                         (k[[2, 5, 7]] + 1.0) * h))
+
 
 class TestRateSteps:
     @pytest.mark.parametrize("mode", list(JacobianMode))
@@ -235,6 +329,21 @@ class TestRateSteps:
         assert (info.value.stage, info.value.time) == \
             (expected.stage, expected.time)
         assert str(info.value) == str(expected)
+
+    def test_domain_error_names_a_plain_float_time(self):
+        # Stage times are computed from numpy scalars; the message must
+        # print t=8.0, not t=np.float64(8.0), on both paths.
+        signal = preset("fourier3")
+        tab = tableau_rk4()
+        with pytest.raises(StageEvaluationError) as scalar:
+            integrate_attitude_step(lambda t: omega_at(signal, t), 0.0, 8.0,
+                                    tab)
+        with pytest.raises(StageEvaluationError) as array:
+            _batch.rate_steps(signal, 0.0, 8.0, tab,
+                              JacobianMode.EXACT_CLOSED_FORM, 0, 2)
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value).startswith("stage 3 at t=8.0: angle ")
+        assert type(array.value.time) is float
 
 
 class TestCorrections:
@@ -301,10 +410,14 @@ class TestCorrections:
                     [synth_delta_theta(signal, k * dt + j * sub,
                                        k * dt + (j + 1) * sub)
                      for j in range(minor)], before))
+        # At dt = 0.1 some two-speed times differ from the grid's k * dt / 3
+        # in the last bit: those intervals are synthesized, not taken.
         if name == "two_speed":
-            got = _batch.two_speed_steps(signal, dt, minor, k0, k1)
+            grid = _batch.IncrementGrid(signal, dt / minor, k1 * minor)
+            got = _batch.two_speed_steps(grid, dt, minor, k0, k1)
         else:
-            got = getattr(_batch, f"{name}_steps")(signal, dt, k0, k1)
+            grid = _batch.IncrementGrid(signal, dt, k1)
+            got = getattr(_batch, f"{name}_steps")(grid, k0, k1)
         for g, w in zip(got, want):
             if kind == "poly":
                 assert np.array_equal(g, w)

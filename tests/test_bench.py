@@ -8,11 +8,16 @@ from coning_kit.bench import (ERROR_FLOOR, MAX_CELL_STEPS, ErrorRecord,
                               MethodId, MethodKind, SweepConfig,
                               estimate_order, propagate, run_sweep,
                               validate_config)
+from coning_kit.cli import parse_method
 from coning_kit.errors import ConfigError, InsufficientData
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import attitude_error_angle, dcm_from_rotation_vector
 from coning_kit.trajectory import (MAX_SUBSTEPS, PolynomialRate,
                                    exact_attitude, preset, reference_attitude)
+
+DEFAULT_DTS = tuple(0.25 * 2.0 ** -k for k in range(7))
+ALL_EIGHT = ("fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
+             "twospeed4")
 
 ALL_METHODS = [MethodId(kind, 4) if kind is MethodKind.TWO_SPEED_CLASSIC
                else MethodId(kind) for kind in MethodKind]
@@ -257,3 +262,46 @@ class TestRunSweep:
         records = run_sweep(cfg).summaries[0].records
         for coarse, fine in zip(records, records[1:]):
             assert fine.final_error_angle <= 1.05 * coarse.final_error_angle
+
+    @pytest.mark.parametrize("signal, methods, dts, horizon", [
+        ("coning", ALL_EIGHT, DEFAULT_DTS, 4.0),
+        ("fourier3", ALL_EIGHT, DEFAULT_DTS, 4.0),
+        ("poly3", ALL_EIGHT, DEFAULT_DTS, 4.0),
+        ("fourier3", "theta3,twospeed3", (0.3, 0.15, 0.1), 1.2),
+    ], ids=["coning", "fourier3", "poly3", "non-dyadic"])
+    def test_records_equal_per_cell_propagate(self, signal, methods, dts,
+                                              horizon):
+        # The sweep shares increments between cells; each record must still
+        # be bit for bit that of the cell propagated on its own.  At the
+        # non-dyadic step sizes some two-speed interval times differ from
+        # the grid's in the last bit and are synthesized separately.
+        cfg = SweepConfig(signal=signal,
+                          methods=tuple(parse_method(m)
+                                        for m in methods.split(",")),
+                          step_sizes=dts, horizon=horizon)
+        sig = preset(signal)
+        truth = exact_attitude(sig, horizon)
+        ref = (truth @ exact_attitude(sig, 0.0).T if truth is not None
+               else reference_attitude(sig, 0.0, horizon, cfg.tolerance))
+        report = run_sweep(cfg)
+        assert len(report.records()) == len(cfg.methods) * len(dts)
+        for rec in report.records():
+            final = propagate(rec.method, sig, rec.dt, horizon)
+            assert rec.final_error_angle == attitude_error_angle(final, ref)
+
+    def test_failing_cell_leaves_the_rest_of_the_sweep(self):
+        # rk4omega at dt = 8 leaves the Jacobian's domain in its last stage.
+        cfg = SweepConfig(signal="fourier3",
+                          methods=(MethodId(MethodKind.FWD_EULER_OMEGA),
+                                   MethodId(MethodKind.RK4_OMEGA)),
+                          step_sizes=(8.0, 4.0, 2.0, 1.0), horizon=16.0)
+        euler, rk4 = run_sweep(cfg).summaries
+        assert [r.dt for r in euler.records] == [8.0, 4.0, 2.0, 1.0]
+        assert euler.failures == ()
+        assert [r.dt for r in rk4.records] == [4.0, 2.0, 1.0]
+        [(dt, reason)] = rk4.failures
+        assert dt == 8.0
+        assert reason.startswith("StageEvaluationError: stage 3 at t=8.0: "
+                                 "angle ")
+        assert rk4.order == estimate_order(rk4.records,
+                                           10 * cfg.tolerance)[0]

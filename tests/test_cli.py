@@ -140,10 +140,38 @@ class TestSweepCommand:
 
         monkeypatch.setattr(bench, "reference_attitude", no_work)
         monkeypatch.setattr(bench, "propagate", no_work)
+        monkeypatch.setattr(bench, "_propagate", no_work)
         assert run_cli(["sweep", "--methods", "theta2", *flags,
                         "--output", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_failed_cell_reported_and_skipped(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--signal", "fourier3",
+                        "--methods", "fwdeuler,rk4omega", "--dt-max", "8",
+                        "--halvings", "3", "--horizon", "16",
+                        "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert [(r[0], r[2]) for r in rows] == (
+            [("fwdeuler", dt) for dt in ("8.0", "4.0", "2.0", "1.0")]
+            + [("rk4omega", dt) for dt in ("4.0", "2.0", "1.0")])
+        err = capsys.readouterr().err
+        assert ("rk4omega dt=8.0: failed: StageEvaluationError: stage 3 at "
+                "t=8.0: angle") in err
+        assert "rk4omega: fitted order" in err
+
+    def test_every_cell_failed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--signal", "fourier3",
+                        "--methods", "rk4omega", "--dts", "8",
+                        "--horizon", "16", "--output", str(out)]) == 2
+        assert out.read_text() == ("method,jacobian_mode,dt,steps,"
+                                   "final_error_rad,wall_time_s\n")
+        err = capsys.readouterr().err
+        assert "rk4omega dt=8.0: failed: " in err
+        assert "every cell" in err
 
     def test_stdout_output(self, capsys):
         assert run_cli(["sweep", "--signal", "poly3", "--methods", "exmid",
