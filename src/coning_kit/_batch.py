@@ -136,9 +136,12 @@ def omega_many(signal, t: np.ndarray) -> np.ndarray:
         a = signal.cone_angle
         w = signal.precession_rate
         cw, sw = np.cos(w * t), np.sin(w * t)
-        zero = np.zeros_like(t)
-        phi = np.stack([a * cw, a * sw, zero], axis=1)
-        phi_dot = np.stack([-a * w * sw, a * w * cw, zero], axis=1)
+        phi = np.zeros((t.size, 3))
+        phi_dot = np.zeros((t.size, 3))
+        np.multiply(a, cw, out=phi[:, 0])
+        np.multiply(a, sw, out=phi[:, 1])
+        np.multiply(-a * w, sw, out=phi_dot[:, 0])
+        np.multiply(a * w, cw, out=phi_dot[:, 1])
         return right_jacobian_apply(*_cone_coefficients(a), phi, phi_dot)
     raise TypeError(f"unknown signal type {type(signal).__name__}")
 
@@ -344,7 +347,7 @@ class IncrementGrid:
 def _windowed(increments: np.ndarray) -> np.ndarray:
     # The scalar path builds a MeasurementWindow per step, which refuses
     # non-finite increments.
-    if not np.all(np.isfinite(increments)):
+    if not np.isfinite(increments).all():
         raise ValueError("increments must be finite")
     return increments
 
@@ -429,8 +432,9 @@ def chain_product(mats: np.ndarray) -> np.ndarray:
     """``mats[n-1] @ ... @ mats[1] @ mats[0]`` by a pairwise tree.
 
     Each level multiplies neighbouring pairs; a product whose orthogonality
-    defect exceeds ``DRIFT_TOL`` is projected with ``so3.orthonormalize``,
-    which raises ``NotNearOrthogonal`` on a matrix too far from SO(3).
+    defect is not at most ``DRIFT_TOL`` (NaN included) is projected with
+    ``so3.orthonormalize``, which raises ``NotNearOrthogonal`` on a matrix
+    too far from SO(3) or with a non-finite entry.
     """
     while mats.shape[0] > 1:
         pairs = mats.shape[0] // 2
@@ -439,7 +443,7 @@ def chain_product(mats: np.ndarray) -> np.ndarray:
         g = np.matmul(np.ascontiguousarray(prod.transpose(0, 2, 1)),
                       prod) - _EYE3
         defect = np.sqrt((g * g).sum(axis=(1, 2)))
-        for i in np.flatnonzero(defect > DRIFT_TOL):
+        for i in np.flatnonzero(~(defect <= DRIFT_TOL)):
             prod[i] = orthonormalize(prod[i])
         if mats.shape[0] % 2:
             prod = np.concatenate([prod, mats[-1:]])

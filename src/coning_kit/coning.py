@@ -13,13 +13,14 @@ run self-validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import EmptyWindow
-from .rate_model import MeasurementWindow, rk_node_samples_affine
+from .rate_model import MeasurementWindow
 from .rk import OmegaSampler
 from .so3 import cross
 
@@ -45,27 +46,47 @@ def miller_single_speed(dtheta_prev: np.ndarray,
     Exact for an affine rate history; ``beta`` vanishes identically for
     parallel increments (single-axis motion).
     """
-    curr = np.asarray(dtheta_curr, dtype=float)
-    beta = cross(dtheta_prev, curr) / 12.0
-    return ConingResult(delta_phi=curr + beta, beta=beta)
+    px, py, pz = (float(dtheta_prev[0]), float(dtheta_prev[1]),
+                  float(dtheta_prev[2]))
+    cx, cy, cz = (float(dtheta_curr[0]), float(dtheta_curr[1]),
+                  float(dtheta_curr[2]))
+    bx = (py * cz - pz * cy) / 12.0
+    by = (pz * cx - px * cz) / 12.0
+    bz = (px * cy - py * cx) / 12.0
+    return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
+                        beta=np.array([bx, by, bz]))
 
 
 def rk4_theta2(window: MeasurementWindow) -> ConingResult:
     """Four-stage solver correction from a (prior, current) window.
 
-    Feeds the affine-model node samples through the fourth-order closed
-    form.  The Simpson term of that form reconstructs the current increment
-    identically for affine node samples, so only the cross term is
-    evaluated; the result equals ``miller_single_speed`` on the same inputs
-    to a few ulp (the tests assert both this identity and agreement with
-    the literal node-sample composition).
+    Feeds the affine-model node samples (``rk_node_samples_affine``) through
+    the fourth-order closed form.  The Simpson term of that form
+    reconstructs the current increment identically for affine node samples,
+    so only the cross term is evaluated; the result equals
+    ``miller_single_speed`` on the same inputs to a few ulp (the tests
+    assert both this identity and agreement with the literal node-sample
+    composition).
     """
-    nodes = rk_node_samples_affine(window)
-    dt = window.dt
-    beta = (dt * dt / 12.0) * cross(nodes.omega0 - nodes.omega1,
-                                    nodes.omega_mid)
-    curr = window.increments[window.alignment]
-    return ConingResult(delta_phi=curr + beta, beta=beta)
+    if window.q != 2:
+        raise ValueError(f"expected a Q=2 window, got Q={window.q}")
+    rows = window.increments.tolist()
+    (px, py, pz), (cx, cy, cz) = rows
+    dt = float(window.dt)
+    two_dt = 2.0 * dt
+    # Node samples w(0), w(dt/2), w(dt) of the affine model.
+    w0x, w0y, w0z = (px + cx) / two_dt, (py + cy) / two_dt, (pz + cz) / two_dt
+    wmx, wmy, wmz = cx / dt, cy / dt, cz / dt
+    w1x, w1y, w1z = ((3.0 * cx - px) / two_dt, (3.0 * cy - py) / two_dt,
+                     (3.0 * cz - pz) / two_dt)
+    ux, uy, uz = w0x - w1x, w0y - w1y, w0z - w1z
+    scale = dt * dt / 12.0
+    bx = scale * (uy * wmz - uz * wmy)
+    by = scale * (uz * wmx - ux * wmz)
+    bz = scale * (ux * wmy - uy * wmx)
+    ax, ay, az = rows[window.alignment]
+    return ConingResult(delta_phi=np.array([ax + bx, ay + by, az + bz]),
+                        beta=np.array([bx, by, bz]))
 
 
 def rk4_theta3(window: MeasurementWindow) -> ConingResult:
@@ -78,9 +99,13 @@ def rk4_theta3(window: MeasurementWindow) -> ConingResult:
     """
     if window.q != 3:
         raise ValueError(f"expected a Q=3 window, got Q={window.q}")
-    prior, curr, nxt = window.increments
-    beta = (cross(nxt, prior) + 13.0 * cross(prior - nxt, curr)) / 288.0
-    return ConingResult(delta_phi=curr + beta, beta=beta)
+    (px, py, pz), (cx, cy, cz), (nx, ny, nz) = window.increments.tolist()
+    ux, uy, uz = px - nx, py - ny, pz - nz
+    bx = ((ny * pz - nz * py) + 13.0 * (uy * cz - uz * cy)) / 288.0
+    by = ((nz * px - nx * pz) + 13.0 * (uz * cx - ux * cz)) / 288.0
+    bz = ((nx * py - ny * px) + 13.0 * (ux * cy - uy * cx)) / 288.0
+    return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
+                        beta=np.array([bx, by, bz]))
 
 
 def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
@@ -101,17 +126,27 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
     """
     if len(increments) == 0:
         raise EmptyWindow("two-speed correction needs at least one increment")
-    theta = np.zeros(3)
-    half_sum = np.zeros(3)
-    twelfth_sum = np.zeros(3)
-    prev = np.asarray(dtheta_before_first, dtype=float)
-    for raw in increments:
-        d = np.asarray(raw, dtype=float)
-        half_sum = half_sum + cross(theta, d)
-        twelfth_sum = twelfth_sum + cross(prev, d)
-        theta = theta + d
-        prev = d
-    return theta + 0.5 * half_sum + twelfth_sum / 12.0
+    tx = ty = tz = 0.0
+    hx = hy = hz = 0.0
+    qx = qy = qz = 0.0
+    px, py, pz = (float(dtheta_before_first[0]),
+                  float(dtheta_before_first[1]),
+                  float(dtheta_before_first[2]))
+    for d in increments:
+        dx, dy, dz = float(d[0]), float(d[1]), float(d[2])
+        hx += ty * dz - tz * dy
+        hy += tz * dx - tx * dz
+        hz += tx * dy - ty * dx
+        qx += py * dz - pz * dy
+        qy += pz * dx - px * dz
+        qz += px * dy - py * dx
+        tx += dx
+        ty += dy
+        tz += dz
+        px, py, pz = dx, dy, dz
+    return np.array([tx + 0.5 * hx + qx / 12.0,
+                     ty + 0.5 * hy + qy / 12.0,
+                     tz + 0.5 * hz + qz / 12.0])
 
 
 def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,
@@ -156,10 +191,10 @@ def affine_coning_oracle(p1: np.ndarray, p2: np.ndarray,
     """Analytic coning integral for the rate ``omega = p1 + p2 t``.
 
     Over one interval of length ``dt`` the first-order coning integral is
-    exactly ``(1/12) (p1 x p2) dt**3``.
+    exactly ``(1/12) (p1 x p2) dt**3``.  ``dt`` must be positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     return cross(p1, p2) * (dt ** 3 / 12.0)
 
 

@@ -19,6 +19,7 @@ and is the step being propagated; increment j covers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,11 @@ class MeasurementWindow:
         if inc.ndim != 2 or inc.shape[1] != 3 or inc.shape[0] < 2:
             raise ValueError(
                 f"increments must have shape (Q >= 2, 3), got {inc.shape}")
-        if not np.all(np.isfinite(inc)):
+        if not np.isfinite(inc).all():
             raise ValueError("increments must be finite")
-        if not self.dt > 0.0:
-            raise DegenerateStep(f"dt must be positive, got {self.dt!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise DegenerateStep(
+                f"dt must be positive and finite, got {self.dt!r}")
         if not 0 <= self.alignment < inc.shape[0]:
             raise ValueError(
                 f"alignment {self.alignment} out of range for Q={inc.shape[0]}")

@@ -11,17 +11,24 @@ rotation-vector ODE over one sensor interval with the zero initial condition
 (which makes the inverse Jacobian the identity at the first stage), and the
 ``delta_phi_*_closed`` functions are the corresponding second-order closed
 forms in angular-rate samples.
+
+``integrate_attitude_step`` is the per-call path of a strapdown update: it
+runs the scheme on Python floats, with the same operations in the same
+order as ``rk_step`` on ``kinematics.bortz_rhs``, so the two agree bit for
+bit; ``rk_step`` is its oracle in the tests.  Both read the tableau's
+coefficients from the plan ``ButcherTableau`` precomputes as Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import StageEvaluationError
-from .kinematics import JacobianMode, bortz_rhs
+from .kinematics import JacobianMode, jinv_coefficient
 from .so3 import cross
 
 OdeFunction = Callable[[float, np.ndarray], np.ndarray]
@@ -37,6 +44,11 @@ class ButcherTableau:
     ``a[nu]``.  Those coefficient invariants are checked by
     ``validate_tableau``, not at construction, so defective tableaux can be
     built for testing.
+
+    Construction also precomputes the plan both step routines run, as
+    Python floats: per stage ``nu``, ``c[nu]`` and the pairs
+    ``(l, A[nu, l])`` with ``l < nu`` and a nonzero coefficient; then the
+    pairs ``(l, b[l])`` with a nonzero weight.
     """
 
     a: np.ndarray
@@ -57,6 +69,12 @@ class ButcherTableau:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        stages = tuple(
+            (float(c[nu]), tuple((l, float(a[nu, l])) for l in range(nu)
+                                 if a[nu, l] != 0.0))
+            for nu in range(n))
+        weights = tuple((l, float(b[l])) for l in range(n) if b[l] != 0.0)
+        object.__setattr__(self, "_plan", (stages, weights))
 
     @property
     def n(self) -> int:
@@ -120,6 +138,11 @@ def validate_tableau(tab: ButcherTableau) -> list[str]:
     return violations
 
 
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+
+
 def rk_step(f: OdeFunction, t_k: float, y_k: np.ndarray, dt: float,
             tab: ButcherTableau) -> np.ndarray:
     """Advance ``y_k`` by one explicit Runge-Kutta step of size ``dt``.
@@ -127,30 +150,25 @@ def rk_step(f: OdeFunction, t_k: float, y_k: np.ndarray, dt: float,
     ``f`` is evaluated only at times ``t_k + dt * c[nu]``, never outside
     ``[t_k, t_k + dt * max(c)]``.  Exceptions raised by ``f`` are re-raised
     as ``StageEvaluationError`` carrying the stage index, with the original
-    exception chained.
+    exception chained.  ``dt`` must be positive and finite.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_dt(dt)
     y = np.asarray(y_k, dtype=float)
-    a, b, c = tab.a, tab.b, tab.c
+    stage_plan, weights = tab._plan
     stages = []
-    for nu in range(tab.n):
+    for nu, (c_nu, row) in enumerate(stage_plan):
         psi = y
-        for l in range(nu):
-            a_nl = a[nu, l]
-            if a_nl != 0.0:
-                psi = psi + a_nl * stages[l]
-        t_nu = t_k + dt * c[nu]
+        for l, a_nl in row:
+            psi = psi + a_nl * stages[l]
+        t_nu = t_k + dt * c_nu
         try:
             f_nu = f(t_nu, psi)
         except Exception as exc:
             raise StageEvaluationError(nu, t_nu, str(exc)) from exc
         stages.append(dt * np.asarray(f_nu, dtype=float))
     out = y
-    for l in range(tab.n):
-        b_l = b[l]
-        if b_l != 0.0:
-            out = out + b_l * stages[l]
+    for l, b_l in weights:
+        out = out + b_l * stages[l]
     return out
 
 
@@ -160,16 +178,51 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
                             ) -> np.ndarray:
     """Rotation-vector increment over ``[t_k, t_k + dt]``.
 
-    Runs one ``rk_step`` on ``phi_dot = jinv(phi, mode) @ sampler(t)`` from
-    the zero initial condition, so the returned vector is the incremental
-    rotation of the step.  For a constant angular rate every tableau is
-    exact: the increment is ``dt * omega``.
+    Runs one step of the scheme on ``phi_dot = jinv(phi, mode) @
+    sampler(t)`` from the zero initial condition, so the returned vector is
+    the incremental rotation of the step.  For a constant angular rate every
+    tableau is exact: the increment is ``dt * omega``.  The result equals
+    ``rk_step`` on ``kinematics.bortz_rhs`` bit for bit, including the stage
+    and time of a ``StageEvaluationError``.
     """
-
-    def f(t, phi):
-        return bortz_rhs(phi, sampler(t), mode)
-
-    return rk_step(f, t_k, np.zeros(3), dt, tab)
+    _check_dt(dt)
+    exact = mode is JacobianMode.EXACT_CLOSED_FORM
+    stage_plan, weights = tab._plan
+    stages = []
+    for nu, (c_nu, row) in enumerate(stage_plan):
+        px = py = pz = 0.0
+        for l, a_nl in row:
+            sx, sy, sz = stages[l]
+            px += a_nl * sx
+            py += a_nl * sy
+            pz += a_nl * sz
+        t_nu = t_k + dt * c_nu
+        try:
+            w = sampler(t_nu)
+            wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
+            if exact:
+                c = jinv_coefficient(math.sqrt(px * px + py * py + pz * pz))
+            else:
+                c = 1.0 / 12.0
+        except Exception as exc:
+            raise StageEvaluationError(nu, t_nu, str(exc)) from exc
+        # kinematics.bortz_rhs, term by term.
+        cx = py * wz - pz * wy
+        cy = pz * wx - px * wz
+        cz = px * wy - py * wx
+        dx = py * cz - pz * cy
+        dy = pz * cx - px * cz
+        dz = px * cy - py * cx
+        stages.append((dt * (wx + 0.5 * cx + c * dx),
+                       dt * (wy + 0.5 * cy + c * dy),
+                       dt * (wz + 0.5 * cz + c * dz)))
+    ox = oy = oz = 0.0
+    for l, b_l in weights:
+        sx, sy, sz = stages[l]
+        ox += b_l * sx
+        oy += b_l * sy
+        oz += b_l * sz
+    return np.array([ox, oy, oz])
 
 
 def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
@@ -181,8 +234,7 @@ def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
     from a smooth rate signal; the trailing ``w1 x wm`` term makes the
     form asymmetric relative to the four-stage one.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_dt(dt)
     w0 = np.asarray(omega0, dtype=float)
     wm = np.asarray(omega_mid, dtype=float)
     w1 = np.asarray(omega1, dtype=float)
@@ -199,8 +251,7 @@ def delta_phi_rk4_closed(omega0: np.ndarray, omega_mid: np.ndarray,
     ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(w0 - w1) x wm``.  Agrees with the
     four-stage solver to O(dt^3) for any samples.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _check_dt(dt)
     w0 = np.asarray(omega0, dtype=float)
     wm = np.asarray(omega_mid, dtype=float)
     w1 = np.asarray(omega1, dtype=float)

@@ -24,8 +24,6 @@ import numpy as np
 
 from .errors import NearPiRotation, NotNearOrthogonal, NotSkewSymmetric
 
-_EYE3 = np.eye(3)
-
 #: Frobenius tolerance for accepting a matrix as skew-symmetric in ``vee``.
 SKEW_TOL = 1e-9
 
@@ -129,11 +127,14 @@ def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:
 def compose(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """Product ``t2 @ t1`` (applied right to left), with drift control.
 
-    The result is re-orthonormalized whenever its orthogonality defect
-    exceeds 1e-12, so long chains of products stay on the manifold.
+    The result is re-orthonormalized unless its orthogonality defect is at
+    most 1e-12, so long chains of products stay on the manifold.  A product
+    with a NaN or infinite entry has a NaN or infinite defect and is
+    therefore passed to ``orthonormalize``, which raises
+    ``NotNearOrthogonal``.
     """
     t = np.asarray(t2) @ np.asarray(t1)
-    if orthogonality_defect(t) > 1e-12:
+    if not orthogonality_defect(t) <= 1e-12:
         t = orthonormalize(t)
     return t
 
@@ -150,10 +151,21 @@ def attitude_error_angle(t_est: np.ndarray, t_ref: np.ndarray) -> float:
 
 
 def orthogonality_defect(t: np.ndarray) -> float:
-    """Frobenius norm of ``T^T T - I`` (zero on SO(3))."""
-    g = np.asarray(t)
-    g = g.T @ g - _EYE3
-    return math.sqrt(float((g * g).sum()))
+    """Frobenius norm of ``T^T T - I`` (zero on SO(3)).
+
+    Evaluated on Python floats from the six distinct entries of the
+    symmetric ``T^T T - I``; NaN or infinite when ``T`` has a non-finite
+    entry.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(t, dtype=float).tolist()
+    d0 = a * a + d * d + g * g - 1.0
+    d1 = b * b + e * e + h * h - 1.0
+    d2 = c * c + f * f + i * i - 1.0
+    o01 = a * b + d * e + g * h
+    o02 = a * c + d * f + g * i
+    o12 = b * c + e * f + h * i
+    return math.sqrt(d0 * d0 + d1 * d1 + d2 * d2
+                     + 2.0 * (o01 * o01 + o02 * o02 + o12 * o12))
 
 
 def orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -162,15 +174,19 @@ def orthonormalize(m: np.ndarray) -> np.ndarray:
     Iterates the polar-projection update ``T <- 3/2 T - 1/2 T T^T T`` until
     the orthogonality defect is at most 1e-14 (at most 10 iterations); the
     fixed point is the nearest proper orthogonal matrix in the Frobenius
-    sense.  Raises ``NotNearOrthogonal`` if ``det(m) <= 0``, the defect is
-    not below 0.1, or the iteration fails to converge.
+    sense.  Raises ``NotNearOrthogonal`` if the defect is not below 0.1
+    (a NaN or infinite entry included), ``det(m) <= 0``, or the iteration
+    fails to converge.
     """
     t = np.array(m, dtype=float)
     defect = orthogonality_defect(t)
-    if defect >= 0.1 or np.linalg.det(t) <= 0.0:
+    if not defect < 0.1:
         raise NotNearOrthogonal(
-            f"defect {defect:.3e}, det {np.linalg.det(t):.3e}: "
-            "input is not near SO(3)")
+            f"defect {defect:.3e}: input is not near SO(3)")
+    det = np.linalg.det(t)
+    if det <= 0.0:
+        raise NotNearOrthogonal(
+            f"defect {defect:.3e}, det {det:.3e}: input is not near SO(3)")
     for _ in range(10):
         if defect <= 1e-14:
             return t

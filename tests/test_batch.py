@@ -496,6 +496,14 @@ class TestComposer:
         with pytest.raises(NotNearOrthogonal):
             compose(_batch.chain_product(mats), np.eye(3))
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_nan_entry_raises(self, n):
+        rng = np.random.default_rng(608)
+        mats = _batch.dcm_many(random_rotation_vectors(rng, n, 0.3))
+        mats[n - 1, 1, 1] = np.nan
+        with pytest.raises(NotNearOrthogonal):
+            _batch.chain_product(mats)
+
 
 def test_reference_engine_matches_the_scalar_step_loop():
     # The step-doubled reference composes rk4 substeps; the engine must

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,11 @@ class TestAffineOracle:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
             affine_coning_oracle([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            affine_coning_oracle([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], dt)
 
 
 class TestAppendixIdentity:

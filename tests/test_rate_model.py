@@ -39,6 +39,11 @@ class TestWindow:
         with pytest.raises(DegenerateStep):
             MeasurementWindow(np.zeros((2, 3)), -0.5)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(DegenerateStep):
+            MeasurementWindow(np.ones((2, 3)), dt)
+
     def test_rejects_bad_alignment(self):
         with pytest.raises(ValueError):
             MeasurementWindow(np.zeros((2, 3)), 0.1, alignment=2)

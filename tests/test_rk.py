@@ -131,6 +131,11 @@ class TestRkStep:
         with pytest.raises(ValueError):
             rk_step(lambda t, y: y, 0.0, np.array([1.0]), 0.0, tableau_rk4())
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            rk_step(lambda t, y: y, 0.0, np.array([1.0]), dt, tableau_rk4())
+
     def test_stage_failure_annotated_and_chained(self):
         def f(t, y):
             if t > 0.0:
@@ -174,6 +179,12 @@ class TestIntegrateAttitudeStep:
             psi = 0.5 * dt * sampler(t_k)
             hand = dt * (jinv(psi) @ sampler(t_k + 0.5 * dt))
             assert np.max(np.abs(engine - hand)) <= 1e-15
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_attitude_step(lambda t: np.ones(3), 0.0, dt,
+                                    tableau_rk4())
 
     def test_sampler_failure_propagates(self):
         def sampler(t):
@@ -254,3 +265,11 @@ class TestClosedForms:
             delta_phi_rk3_closed(w, w, w, 0.0)
         with pytest.raises(ValueError):
             delta_phi_rk4_closed(w, w, w, -1.0)
+
+    @pytest.mark.parametrize("closed", [delta_phi_rk3_closed,
+                                        delta_phi_rk4_closed])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, closed, dt):
+        w = np.ones(3)
+        with pytest.raises(ValueError, match="finite"):
+            closed(w, w, w, dt)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,10 @@ class TestCompose:
         assert np.allclose(half, np.diag([-1.0, -1.0, 1.0]),
                            rtol=0, atol=1e-15)
 
+    def test_non_finite_product_rejected(self):
+        with pytest.raises(NotNearOrthogonal):
+            compose(np.full((3, 3), np.nan), np.eye(3))
+
     def test_million_products_stay_on_manifold(self):
         rng = np.random.default_rng(108)
         factors = [dcm_from_rotation_vector(random_rotation_vector(rng, 1e-3))
@@ -232,6 +237,15 @@ class TestOrthonormalize:
     def test_rejects_far_from_orthogonal(self):
         with pytest.raises(NotNearOrthogonal):
             orthonormalize(2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry_without_det(self, bad):
+        t = dcm_from_rotation_vector([0.5, -0.2, 0.9])
+        t[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotNearOrthogonal, match="not near SO"):
+                orthonormalize(t)
 
     def test_rejects_negative_determinant(self):
         with pytest.raises(NotNearOrthogonal):
