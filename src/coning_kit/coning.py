@@ -23,8 +23,7 @@ from .errors import EmptyWindow
 from .rate_model import MeasurementWindow
 from .rk import OmegaSampler
 from .so3 import cross
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+from .trajectory import _GL_PAIRS
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +168,7 @@ def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,
         a = t0 + j * h
         half = 0.5 * h
         mid = a + half
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        for x, w in _GL_PAIRS:
             t = mid + half * x
             theta_t = theta_start + _gl5_integral(sampler, a, t)
             beta = beta + (w * half) * cross(theta_t, sampler(t))
@@ -181,7 +180,7 @@ def _gl5_integral(sampler: OmegaSampler, a: float, b: float) -> np.ndarray:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     acc = np.zeros(3)
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+    for x, w in _GL_PAIRS:
         acc = acc + w * np.asarray(sampler(mid + half * x), dtype=float)
     return half * acc
 

@@ -33,6 +33,7 @@ class MeasurementWindow:
 
     ``increments`` is a (Q, 3) array, Q >= 2; ``dt`` the common interval in
     seconds; ``alignment`` the index of the increment being propagated.
+    The increments are copied and frozen; the caller's array is untouched.
     """
 
     increments: np.ndarray
@@ -40,7 +41,7 @@ class MeasurementWindow:
     alignment: int = 1
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+        inc = np.array(self.increments, dtype=float)
         if inc.ndim != 2 or inc.shape[1] != 3 or inc.shape[0] < 2:
             raise ValueError(
                 f"increments must have shape (Q >= 2, 3), got {inc.shape}")
@@ -65,14 +66,14 @@ class RatePolynomial:
     """Angular-rate model ``omega(t) = sum_i coeffs[i] * (t - origin)**i``.
 
     ``coeffs`` is a (Q, 3) array ordered by increasing power (row 0 is the
-    constant term).
+    constant term); it is copied and frozen.
     """
 
     coeffs: np.ndarray
     origin: float = 0.0
 
     def __post_init__(self):
-        co = np.asarray(self.coeffs, dtype=float)
+        co = np.array(self.coeffs, dtype=float)
         if co.ndim != 2 or co.shape[1] != 3 or co.shape[0] < 1:
             raise ValueError(f"coeffs must have shape (Q >= 1, 3), got {co.shape}")
         co.setflags(write=False)

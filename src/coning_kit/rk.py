@@ -43,7 +43,7 @@ class ButcherTableau:
     ``b`` must sum to 1 and each ``c[nu]`` must equal the row sum of
     ``a[nu]``.  Those coefficient invariants are checked by
     ``validate_tableau``, not at construction, so defective tableaux can be
-    built for testing.
+    built for testing.  The three arrays are copied and frozen.
 
     Construction also precomputes the plan both step routines run, as
     Python floats: per stage ``nu``, ``c[nu]`` and the pairs
@@ -56,9 +56,9 @@ class ButcherTableau:
     c: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
+        c = np.array(self.c, dtype=float)
         n = b.shape[0]
         if a.shape != (n, n) or c.shape != (n,):
             raise ValueError(

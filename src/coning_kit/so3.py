@@ -90,10 +90,10 @@ def dcm_from_rotation_vector(phi: np.ndarray) -> np.ndarray:
     xy, xz, yz = x * y, x * z, y * z
     k1x, k1y, k1z = k1 * x, k1 * y, k1 * z
     return np.array([
-        [1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz],
-        [-k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz],
-        [k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy)],
-    ])
+        1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
+        -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
+        k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy),
+    ]).reshape(3, 3)
 
 
 def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:

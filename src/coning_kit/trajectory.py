@@ -11,6 +11,12 @@ Three signal families are available, each evaluable at arbitrary time:
 
 Reference attitudes and synthetic increments are deterministic: repeated
 calls with equal inputs return bitwise-identical results.
+
+``omega_at`` and ``synth_delta_theta`` are the per-call path: the rates of
+the polynomial and Fourier signals are computed on Python floats, with the
+same operations in the same order as the numpy expressions they replaced,
+so the two agree bit for bit; those numpy forms are their oracles in the
+tests.
 """
 
 from __future__ import annotations
@@ -23,11 +29,14 @@ import numpy as np
 
 from .errors import NoConvergence
 from .kinematics import JacobianMode, forward_jacobian
-from .rate_model import RatePolynomial, eval_rate
+from .rate_model import RatePolynomial
 from .rk import tableau_rk4
 from .so3 import attitude_error_angle, dcm_from_rotation_vector
 
+#: Nodes and weights of the 5-point Gauss-Legendre rule on [-1, 1], and
+#: the same rule as (node, weight) pairs of Python floats.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 #: Names accepted by ``preset``.
 PRESET_NAMES = ("poly3", "fourier3", "coning")
@@ -40,7 +49,12 @@ MAX_SUBSTEPS = 2 ** 20
 
 @dataclass(frozen=True, eq=False)
 class PolynomialRate:
-    """Rate signal defined by a polynomial model (degree <= 5)."""
+    """Rate signal defined by a polynomial model (degree <= 5).
+
+    Construction precomputes the plan ``omega_at`` runs, as Python floats:
+    the origin, the highest-power coefficient row, then the lower rows in
+    decreasing power.
+    """
 
     model: RatePolynomial
 
@@ -49,6 +63,9 @@ class PolynomialRate:
             raise ValueError(
                 f"polynomial rate limited to degree 5, got degree "
                 f"{self.model.q - 1}")
+        top, *lower = (tuple(row) for row in self.model.coeffs[::-1].tolist())
+        object.__setattr__(self, "_plan",
+                           (float(self.model.origin), top, tuple(lower)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +74,9 @@ class FourierRate:
 
     ``terms`` is a sequence of (amplitude 3-vector, frequency rad/s > 0,
     phase rad) triples; the amplitude multiplies the sine componentwise.
+    Every value must be finite.  The amplitudes are copied and frozen, and
+    construction precomputes the plan ``omega_at`` runs: one Python-float
+    tuple ``(ax, ay, az, freq, phase)`` per term.
     """
 
     terms: tuple
@@ -64,11 +84,21 @@ class FourierRate:
     def __post_init__(self):
         norm = []
         for amp, freq, phase in self.terms:
-            if not float(freq) > 0.0:
-                raise ValueError(f"frequencies must be positive, got {freq!r}")
-            norm.append((np.asarray(amp, dtype=float), float(freq),
-                         float(phase)))
+            amp = np.array(amp, dtype=float)
+            freq, phase = float(freq), float(phase)
+            if amp.shape != (3,) or not np.isfinite(amp).all():
+                raise ValueError(
+                    f"amplitudes must be finite 3-vectors, got {amp!r}")
+            if not 0.0 < freq < math.inf:
+                raise ValueError(
+                    f"frequencies must be positive and finite, got {freq!r}")
+            if not math.isfinite(phase):
+                raise ValueError(f"phases must be finite, got {phase!r}")
+            amp.setflags(write=False)
+            norm.append((amp, freq, phase))
         object.__setattr__(self, "terms", tuple(norm))
+        object.__setattr__(self, "_plan", tuple(
+            (*amp.tolist(), freq, phase) for amp, freq, phase in norm))
 
 
 @dataclass(frozen=True)
@@ -82,9 +112,9 @@ class ConingRotationVector:
         if not 0.0 < self.cone_angle < math.pi / 2.0:
             raise ValueError(
                 f"cone angle must be in (0, pi/2), got {self.cone_angle!r}")
-        if not self.precession_rate > 0.0:
+        if not 0.0 < self.precession_rate < math.inf:
             raise ValueError(
-                f"precession rate must be positive, got "
+                f"precession rate must be positive and finite, got "
                 f"{self.precession_rate!r}")
 
 
@@ -139,22 +169,42 @@ def _coning_phi_and_rate(signal: ConingRotationVector, t: float):
     return phi, phi_dot
 
 
-def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
-    """Angular velocity of the signal at time ``t`` (exact closed form)."""
-    if isinstance(signal, PolynomialRate):
-        return eval_rate(signal.model, t)
+def _rate_xyz(signal: AnalyticAttitudeSignal, t: float):
+    """Components ``(wx, wy, wz)`` of ``omega_at(signal, t)``, as floats.
+
+    The polynomial runs Horner's rule of ``rate_model.eval_rate`` and the
+    Fourier sum the per-term loop, component by component.  The cone's
+    rate is the one ``omega_at`` computes in numpy.
+    """
     if isinstance(signal, FourierRate):
         wx = wy = wz = 0.0
-        for amp, freq, phase in signal.terms:
+        for ax, ay, az, freq, phase in signal._plan:
             s = math.sin(freq * t + phase)
-            wx += amp[0] * s
-            wy += amp[1] * s
-            wz += amp[2] * s
-        return np.array([wx, wy, wz])
+            wx += ax * s
+            wy += ay * s
+            wz += az * s
+        return wx, wy, wz
+    if isinstance(signal, PolynomialRate):
+        origin, (wx, wy, wz), lower = signal._plan
+        tau = t - origin
+        for rx, ry, rz in lower:
+            wx = wx * tau + rx
+            wy = wy * tau + ry
+            wz = wz * tau + rz
+        return wx, wy, wz
     if isinstance(signal, ConingRotationVector):
+        return omega_at(signal, t).tolist()
+    raise TypeError(f"unknown signal type {type(signal).__name__}")
+
+
+def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
+    """Angular velocity of the signal at time ``t`` (exact closed form)."""
+    if isinstance(signal, ConingRotationVector):
+        # The inverse of jinv, kept as the oracle of the array engine's
+        # closed-form cone rate.
         phi, phi_dot = _coning_phi_and_rate(signal, t)
         return forward_jacobian(phi) @ phi_dot
-    raise TypeError(f"unknown signal type {type(signal).__name__}")
+    return np.array(_rate_xyz(signal, t))
 
 
 def exact_attitude(signal: AnalyticAttitudeSignal, t: float):
@@ -167,6 +217,13 @@ def exact_attitude(signal: AnalyticAttitudeSignal, t: float):
         phi, _ = _coning_phi_and_rate(signal, t)
         return dcm_from_rotation_vector(phi)
     return None
+
+
+def _check_interval(t0: float, t1: float) -> None:
+    # t1 - t0 is finite only when both endpoints are and the difference
+    # does not overflow.
+    if not (t1 > t0 and t1 - t0 < math.inf):
+        raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
 
 def _rate_scale(signal: AnalyticAttitudeSignal) -> float:
@@ -186,23 +243,26 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     rates (degree <= 9 per panel).  When ``quadrature`` is omitted the panel
     count defaults to ``ceil((t1 - t0) * max_frequency / pi) + 2``, sized so
     synthesis error sits far below any integrator error under test.
-    Increments are additive across adjacent intervals.
+    Increments are additive across adjacent intervals.  Raises
+    ``ValueError`` unless ``t1 > t0`` and the width ``t1 - t0`` is finite.
     """
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
+    _check_interval(t0, t1)
     if quadrature is None:
         panels = math.ceil((t1 - t0) * _rate_scale(signal) / math.pi) + 2
     else:
         panels = quadrature.panels_per_interval
     h = (t1 - t0) / panels
     half = 0.5 * h
-    acc = np.zeros(3)
+    ax = ay = az = 0.0
     for j in range(panels):
         mid = t0 + j * h + half
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            acc = acc + w * omega_at(signal, mid + half * x)
+        for x, w in _GL_PAIRS:
+            wx, wy, wz = _rate_xyz(signal, mid + half * x)
+            ax += w * wx
+            ay += w * wy
+            az += w * wz
     # common panel width: one scaling of the accumulated weighted sum
-    return acc * half
+    return np.array([ax * half, ay * half, az * half])
 
 
 def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
@@ -237,10 +297,10 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     ``NoConvergence`` when the next one would, without starting it, and
     ``ValueError`` unless ``tol >= 1e-13`` (NaN included).  The returned
     matrix is the rotation relative to the attitude at ``t0`` (identity
-    initial condition).
+    initial condition).  Raises ``ValueError`` unless ``t1 > t0`` and the
+    width ``t1 - t0`` is finite.
     """
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
+    _check_interval(t0, t1)
     if not tol >= 1e-13:
         raise ValueError(f"tolerance must be >= 1e-13 rad, got {tol!r}")
     n = reference_substeps(signal, t0, t1)

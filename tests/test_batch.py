@@ -428,8 +428,8 @@ class TestCorrections:
 @pytest.mark.parametrize("kind", [MethodKind.RK4_THETA2,
                                   MethodKind.SINGLE_SPEED_THETA3])
 def test_non_finite_increments_refused_like_measurement_window(kind):
-    # sin stays positive on every interval, so every increment is +inf.
-    signal = FourierRate(((np.array([np.inf, 0.0, 0.0]), 1.0, 0.5),))
+    # A constant infinite rate: every increment is +inf.
+    signal = PolynomialRate(RatePolynomial(np.array([[np.inf, 0.0, 0.0]])))
     with pytest.raises(ValueError, match="finite"):
         MeasurementWindow(np.stack([synth_delta_theta(signal, -0.25, 0.0),
                                     synth_delta_theta(signal, 0.0, 0.25)]),

@@ -1,6 +1,7 @@
 """The per-call strapdown functions against their numpy formulations.
 
-``so3.compose``, the ``coning`` corrections and ``rk.integrate_attitude_step``
+``so3.compose``, the ``coning`` corrections, ``rk.integrate_attitude_step``
+and the signal functions ``trajectory.omega_at`` and ``synth_delta_theta``
 run on Python floats.  Each keeps the operations and their order of the
 numpy expression it replaced, written out here as the oracle, so the two
 must agree bit for bit: ``np.array_equal`` on every returned vector.
@@ -23,13 +24,17 @@ from hypothesis import strategies as st
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import AngleOutOfDomain, StageEvaluationError
-from coning_kit.kinematics import JacobianMode, bortz_rhs
-from coning_kit.rate_model import MeasurementWindow, rk_node_samples_affine
+from coning_kit.kinematics import JacobianMode, bortz_rhs, forward_jacobian
+from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
+                                   eval_rate, rk_node_samples_affine)
 from coning_kit.rk import (ButcherTableau, integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint, tableau_forward_euler,
                            tableau_rk3, tableau_rk4)
 from coning_kit.so3 import (compose, cross, dcm_from_rotation_vector,
                             orthogonality_defect, orthonormalize)
+from coning_kit.trajectory import (ConingRotationVector, FourierRate,
+                                   PolynomialRate, QuadratureSpec, omega_at,
+                                   synth_delta_theta)
 
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
@@ -135,6 +140,48 @@ def bortz_attitude_step(sampler, t_k, dt, tab, mode):
         return bortz_rhs(phi, sampler(t), mode)
 
     return rk_step(f, t_k, np.zeros(3), dt, tab)
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+
+def np_omega_at(signal, t):
+    if isinstance(signal, PolynomialRate):
+        return eval_rate(signal.model, t)
+    if isinstance(signal, FourierRate):
+        wx = wy = wz = 0.0
+        for amp, freq, phase in signal.terms:
+            s = math.sin(freq * t + phase)
+            wx += amp[0] * s
+            wy += amp[1] * s
+            wz += amp[2] * s
+        return np.array([wx, wy, wz])
+    a, w = signal.cone_angle, signal.precession_rate
+    cw, sw = math.cos(w * t), math.sin(w * t)
+    phi = np.array([a * cw, a * sw, 0.0])
+    phi_dot = np.array([-a * w * sw, a * w * cw, 0.0])
+    return forward_jacobian(phi) @ phi_dot
+
+
+def np_synth_delta_theta(signal, t0, t1, quadrature=None):
+    if quadrature is None:
+        if isinstance(signal, FourierRate):
+            scale = max(freq for _, freq, _ in signal.terms)
+        elif isinstance(signal, ConingRotationVector):
+            scale = signal.precession_rate
+        else:
+            scale = 0.0
+        panels = math.ceil((t1 - t0) * scale / math.pi) + 2
+    else:
+        panels = quadrature.panels_per_interval
+    h = (t1 - t0) / panels
+    half = 0.5 * h
+    acc = np.zeros(3)
+    for j in range(panels):
+        mid = t0 + j * h + half
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            acc = acc + w * np_omega_at(signal, mid + half * x)
+    return acc * half
 
 
 # ---------------------------------------------------------------- tests
@@ -315,3 +362,47 @@ class TestCompose:
             10.0 ** rng.uniform(-16.0, 1.0)
         bound = 1e-14 * (1.0 + float((t * t).sum()))
         assert abs(orthogonality_defect(t) - np_defect(t)) <= bound
+
+
+def random_signal(rng, kind):
+    """A polynomial (degree 0 to 5, origin zero or not), Fourier or cone
+    signal with seeded parameters."""
+    if kind == "poly":
+        q = int(rng.integers(1, 7))
+        coeffs = rng.normal(size=(q, 3)) * 10.0 ** rng.uniform(-3.0, 1.0,
+                                                               (q, 1))
+        origin = 0.0 if rng.random() < 0.25 else rng.uniform(-10.0, 10.0)
+        return PolynomialRate(RatePolynomial(coeffs, origin))
+    if kind == "fourier":
+        return FourierRate(tuple(
+            (rng.normal(size=3), 10.0 ** rng.uniform(-1.0, 1.5),
+             rng.uniform(-math.pi, math.pi))
+            for _ in range(int(rng.integers(1, 6)))))
+    return ConingRotationVector(rng.uniform(0.01, 1.5),
+                                10.0 ** rng.uniform(-1.0, 1.5))
+
+
+SIGNAL_KINDS = ("poly", "fourier", "cone")
+
+
+class TestSignal:
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @given(seed=seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_omega_at(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        for t in rng.uniform(-20.0, 20.0, 4):
+            assert np.array_equal(omega_at(signal, t), np_omega_at(signal, t))
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @given(seed=seeds, panels=st.none() | st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_synth_delta_theta(self, kind, seed, panels):
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        t0 = rng.uniform(-20.0, 20.0)
+        t1 = t0 + 10.0 ** rng.uniform(-4.0, 0.0)
+        quadrature = None if panels is None else QuadratureSpec(panels)
+        assert np.array_equal(synth_delta_theta(signal, t0, t1, quadrature),
+                              np_synth_delta_theta(signal, t0, t1, quadrature))

@@ -54,6 +54,23 @@ class TestWindow:
         with pytest.raises(ValueError):
             MeasurementWindow(bad, 0.1)
 
+    def test_leaves_caller_array_writable(self):
+        inc = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]])
+        window = MeasurementWindow(inc, 0.1)
+        assert inc.flags.writeable
+        inc[0, 0] = 2.0
+        assert window.increments[0, 0] == 0.1
+        assert not window.increments.flags.writeable
+
+
+def test_rate_polynomial_leaves_caller_array_writable():
+    coeffs = np.array([[0.3, -0.2, 0.1], [0.05, 0.0, -0.4]])
+    model = RatePolynomial(coeffs)
+    assert coeffs.flags.writeable
+    coeffs[:] = 7.0
+    assert np.array_equal(eval_rate(model, 0.0), [0.3, -0.2, 0.1])
+    assert not model.coeffs.flags.writeable
+
 
 class TestFitAffine:
     def test_constant_rate(self):

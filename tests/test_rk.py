@@ -73,6 +73,24 @@ class TestTableaux:
         with pytest.raises(ValueError):
             ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0, 0.0])
 
+    def test_leaves_caller_arrays_writable(self):
+        rk4 = tableau_rk4()
+        a, b, c = rk4.a.copy(), rk4.b.copy(), rk4.c.copy()
+        tab = ButcherTableau(a=a, b=b, c=c)
+
+        def f(t, y):
+            return np.cos(t) * y
+
+        y0 = np.array([1.0, -0.5])
+        before = rk_step(f, 0.3, y0, 0.1, tab)
+        assert a.flags.writeable and b.flags.writeable and c.flags.writeable
+        a[:] = 1.0
+        b[:] = 2.0
+        c[:] = 3.0
+        assert np.array_equal(rk_step(f, 0.3, y0, 0.1, tab), before)
+        assert np.array_equal(tab.a, rk4.a)
+        assert not tab.a.flags.writeable
+
 
 class TestRkStep:
     @pytest.mark.parametrize("factory", ALL_TABLEAUX)

@@ -30,6 +30,42 @@ class TestSignals:
         with pytest.raises(ValueError):
             FourierRate((((1.0, 0.0, 0.0), 0.0, 0.0),))
 
+    @pytest.mark.parametrize("term", [
+        ((np.inf, 0.0, 0.0), 1.0, 0.0),
+        ((0.0, np.nan, 0.0), 1.0, 0.0),
+        ((1.0, 0.0, 0.0), np.inf, 0.0),
+        ((1.0, 0.0, 0.0), np.nan, 0.0),
+        ((1.0, 0.0, 0.0), 1.0, np.inf),
+        ((1.0, 0.0, 0.0), 1.0, np.nan),
+    ])
+    def test_fourier_rejects_non_finite_values(self, term):
+        with pytest.raises(ValueError, match="finite"):
+            FourierRate((term,))
+
+    @pytest.mark.parametrize("amp", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+                                     ((1.0, 0.0, 0.0),), 1.0])
+    def test_fourier_rejects_amplitude_not_a_3_vector(self, amp):
+        with pytest.raises(ValueError, match="3-vectors"):
+            FourierRate(((amp, 1.0, 0.0),))
+
+    def test_fourier_copies_and_freezes_amplitudes(self):
+        amp = np.array([0.5, -0.2, 0.1])
+        signal = FourierRate(((amp, 1.3, 0.2),))
+        before = omega_at(signal, 0.7)
+        assert amp.flags.writeable
+        amp[:] = 9.0
+        assert np.array_equal(omega_at(signal, 0.7), before)
+        assert np.array_equal(signal.terms[0][0], [0.5, -0.2, 0.1])
+        assert not signal.terms[0][0].flags.writeable
+
+    def test_polynomial_leaves_caller_coefficients_writable(self):
+        coeffs = np.array([[0.3, -0.2, 0.1], [0.05, 0.0, -0.4]])
+        signal = PolynomialRate(RatePolynomial(coeffs, origin=0.5))
+        before = omega_at(signal, 1.25)
+        assert coeffs.flags.writeable
+        coeffs[:] = 7.0
+        assert np.array_equal(omega_at(signal, 1.25), before)
+
     def test_coning_invariants(self):
         with pytest.raises(ValueError):
             ConingRotationVector(cone_angle=0.0, precession_rate=1.0)
@@ -37,6 +73,11 @@ class TestSignals:
             ConingRotationVector(cone_angle=math.pi / 2.0, precession_rate=1.0)
         with pytest.raises(ValueError):
             ConingRotationVector(cone_angle=0.1, precession_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_coning_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            ConingRotationVector(cone_angle=0.05, precession_rate=rate)
 
     def test_presets_resolve(self):
         assert isinstance(preset("poly3"), PolynomialRate)
@@ -165,6 +206,14 @@ class TestSynthDeltaTheta:
         with pytest.raises(ValueError):
             synth_delta_theta(preset("poly3"), 1.0, 1.0)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 0.0),
+                                        (math.nan, 1.0), (0.0, math.nan),
+                                        (-1e308, 1e308)])
+    def test_rejects_non_finite_endpoints(self, name, t0, t1):
+        with pytest.raises(ValueError, match="t1 > t0"):
+            synth_delta_theta(preset(name), t0, t1)
+
 
 class TestReferenceAttitude:
     def test_constant_rate_single_level(self):
@@ -236,3 +285,6 @@ class TestReferenceAttitude:
             reference_attitude(signal, 0.0, 1.0, 1e-14)
         with pytest.raises(ValueError):
             reference_attitude(signal, 0.0, 1.0, float("nan"))
+        for t0, t1 in ((0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ValueError, match="t1 > t0"):
+                reference_attitude(signal, t0, t1, 1e-12)
