@@ -23,8 +23,7 @@ from .kinematics import (JacobianMode, bortz_rhs, forward_jacobian, jinv,
                          jinv_coefficient)
 from .rate_model import (MeasurementWindow, RatePolynomial, RkNodeSamples,
                          eval_rate, fit_affine, fit_polynomial, fit_quadratic,
-                         rk_node_samples_affine, rk_node_samples_quadratic,
-                         vandermonde_rows)
+                         rk_node_samples_affine, rk_node_samples_quadratic)
 from .rk import (ButcherTableau, delta_phi_rk3_closed, delta_phi_rk4_closed,
                  integrate_attitude_step, rk_step, tableau_explicit_midpoint,
                  tableau_forward_euler, tableau_rk3, tableau_rk4,

@@ -24,13 +24,17 @@ running attitude is sequential.  Any product whose orthogonality defect
 exceeds ``DRIFT_TOL`` is projected back onto SO(3), the rule ``so3.compose``
 applies; that is the engine's only drift control.
 
-Each array function repeats the arithmetic of the scalar function it
-replaces, in the same order.  Results still differ from a scalar loop in
-the last bits: numpy's sin and cos and its stacked 3x3 products round
-differently, and the tree groups the product differently.  The scalar
-functions stay the per-call API and are the oracles in
-``tests/test_batch.py``, which states the tolerance each array function
-holds.
+Each array function shares the kernel of the per-call function it
+replaces: the ``coning`` correction kernels, ``so3._dcm_entries``,
+``kinematics._apply_jacobian`` and ``trajectory._rate_xyz`` take (n,)
+columns here and Python floats there, and IEEE arithmetic rounds each
+element as it rounds the float.  Rows are kept as the transpose of a
+``(3, n)`` array (``_rows``), so ``rows.T`` hands the kernels contiguous
+columns.  Results still differ from a scalar loop in the last bits where
+numpy's sin and cos and its stacked 3x3 products round differently, and
+the tree groups the product differently.  The scalar functions stay the
+per-call API and are the oracles in ``tests/test_batch.py``, which states
+the tolerance each array function holds.
 """
 
 from __future__ import annotations
@@ -40,11 +44,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .coning import (_miller_beta, _rk4_theta2_beta, _rk4_theta3_beta,
+                     _two_speed_phi)
 from .errors import AngleOutOfDomain, StageEvaluationError
-from .kinematics import _C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode
-from .so3 import SMALL_ANGLE, compose, orthonormalize
+from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
+                         _apply_jacobian)
+from .so3 import SMALL_ANGLE, _dcm_entries, compose, orthonormalize
 from .trajectory import (_GL_NODES, _GL_WEIGHTS, ConingRotationVector,
-                         FourierRate, PolynomialRate, _rate_scale)
+                         _rate_scale, _rate_xyz)
 
 #: Steps per block; for the two-speed method, sensor intervals per block.
 #: Bounds the engine's working set whatever the step count.
@@ -61,15 +68,11 @@ _JACOBIAN_SERIES = 1e-2
 _EYE3 = np.eye(3)
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product, in the operation order of ``so3.cross``."""
-    ux, uy, uz = u[:, 0], u[:, 1], u[:, 2]
-    vx, vy, vz = v[:, 0], v[:, 1], v[:, 2]
-    out = np.empty((u.shape[0], 3))
-    np.subtract(uy * vz, uz * vy, out=out[:, 0])
-    np.subtract(uz * vx, ux * vz, out=out[:, 1])
-    np.subtract(ux * vy, uy * vx, out=out[:, 2])
-    return out
+def _rows(components, n: int) -> np.ndarray:
+    """Rows of three components (columns or floats), as ``(3, n)``.T."""
+    out = np.empty((3, n))
+    out[0], out[1], out[2] = components
+    return out.T
 
 
 # ------------------------------------------------------------- signals
@@ -103,12 +106,11 @@ def right_jacobian_apply(k1, k2, phi: np.ndarray,
                          v: np.ndarray) -> np.ndarray:
     """Rows of ``kinematics.forward_jacobian(phi) @ v``, in closed form.
 
-    ``k1`` and ``k2`` are the ``right_jacobian_coefficients`` of ``|phi|``:
-    scalars, or columns with one row per row of ``phi``.  No domain check:
-    the coning signal keeps ``|phi|`` below pi/2.
+    ``J = I - k1 [phi x] + k2 [phi x]^2``, where ``k1`` and ``k2`` are the
+    ``right_jacobian_coefficients`` of ``|phi|``: scalars, or (n,) columns.
+    No domain check: the coning signal keeps ``|phi|`` below pi/2.
     """
-    c1 = _cross(phi, v)
-    return v - k1 * c1 + k2 * _cross(phi, c1)
+    return _rows(_apply_jacobian(*phi.T, *v.T, -k1, k2, 1.0), phi.shape[0])
 
 
 @lru_cache(maxsize=8)
@@ -118,32 +120,16 @@ def _cone_coefficients(cone_angle: float) -> tuple[float, float]:
 
 def omega_many(signal, t: np.ndarray) -> np.ndarray:
     """``trajectory.omega_at`` at every time of the 1-d array ``t``."""
-    if isinstance(signal, PolynomialRate):
-        model = signal.model
-        tau = (t - model.origin)[:, None]
-        acc = np.broadcast_to(model.coeffs[-1], (t.size, 3))
-        for row in model.coeffs[-2::-1]:
-            acc = acc * tau + row
-        return np.array(acc)
-    if isinstance(signal, FourierRate):
-        out = np.zeros((t.size, 3))
-        for amp, freq, phase in signal.terms:
-            out += amp * np.sin(freq * t + phase)[:, None]
-        return out
     if isinstance(signal, ConingRotationVector):
         # |phi| is the cone angle at every t: one pair of coefficients,
         # computed once per cone.
         a = signal.cone_angle
         w = signal.precession_rate
         cw, sw = np.cos(w * t), np.sin(w * t)
-        phi = np.zeros((t.size, 3))
-        phi_dot = np.zeros((t.size, 3))
-        np.multiply(a, cw, out=phi[:, 0])
-        np.multiply(a, sw, out=phi[:, 1])
-        np.multiply(-a * w, sw, out=phi_dot[:, 0])
-        np.multiply(a * w, cw, out=phi_dot[:, 1])
+        phi = _rows((a * cw, a * sw, 0.0), t.size)
+        phi_dot = _rows((-a * w * sw, a * w * cw, 0.0), t.size)
         return right_jacobian_apply(*_cone_coefficients(a), phi, phi_dot)
-    raise TypeError(f"unknown signal type {type(signal).__name__}")
+    return _rows(_rate_xyz(signal, t, np.sin), t.size)
 
 
 def _per_call(rows: int) -> int:
@@ -162,24 +148,24 @@ def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     guarantees ``t1 > t0``.
     """
     panels = np.ceil((t1 - t0) * _rate_scale(signal) / math.pi) + 2.0
-    out = np.empty((t0.size, 3))
+    out = np.empty((3, t0.size))
     nodes = _GL_NODES.size
     for count in np.unique(panels):
         rows = panels == count
         start = t0[rows]
         h = (t1[rows] - start) / count
         half = 0.5 * h
-        acc = np.zeros((start.size, 3))
+        acc = np.zeros((3, start.size))
         total, per = int(count) * nodes, _per_call(start.size)
         for q0 in range(0, total, per):
             q = np.arange(q0, min(q0 + per, total))
             mid = start + (q // nodes)[:, None] * h + half
             t = mid + half * _GL_NODES[q % nodes][:, None]
-            omega = omega_many(signal, t.ravel()).reshape(q.size, -1, 3)
-            for w, rate in zip(_GL_WEIGHTS[q % nodes], omega):
+            omega = omega_many(signal, t.ravel()).T.reshape(3, q.size, -1)
+            for w, rate in zip(_GL_WEIGHTS[q % nodes], omega.swapaxes(0, 1)):
                 acc = acc + w * rate
-        out[rows] = acc * half[:, None]
-    return out
+        out[:, rows] = acc * half
+    return out.T
 
 
 # ----------------------------------------------------- rate-sample steps
@@ -227,25 +213,22 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
     per = _per_call(n)
     for i in range(0, nodes.size, per):
         t = t_k + dt * nodes[i:i + per, None]
-        rates.extend(omega_many(signal, t.ravel()).reshape(-1, n, 3))
+        omega = omega_many(signal, t.ravel()).T.reshape(3, -1, n)
+        rates.extend(omega.swapaxes(0, 1))
+    stage_plan, weights = tab._plan
+    zero = np.zeros((3, 1))
     stages = []
     angles = np.zeros((tab.n, n))
-    for nu in range(tab.n):
-        psi = np.zeros((n, 3))
-        for l in range(nu):
-            a_nl = tab.a[nu, l]
-            if a_nl != 0.0:
-                psi = psi + a_nl * stages[l]
-        omega = rates[node_of[nu]]
-        # kinematics.bortz_rhs, term by term in the same order.
+    for nu, (_, row) in enumerate(stage_plan):
+        # rk.integrate_attitude_step, term by term in the same order.
+        px, py, pz = sum((a_nl * stages[l] for l, a_nl in row), zero)
         if mode is JacobianMode.EXACT_CLOSED_FORM:
-            px, py, pz = psi[:, 0], psi[:, 1], psi[:, 2]
             angles[nu] = np.sqrt(px * px + py * py + pz * pz)
-            c = jinv_coefficients(angles[nu])[:, None]
+            c = jinv_coefficients(angles[nu])
         else:
             c = 1.0 / 12.0
-        cross = _cross(psi, omega)
-        stages.append(dt * (omega + 0.5 * cross + c * _cross(psi, cross)))
+        stages.append(np.array(_apply_jacobian(
+            px, py, pz, *rates[node_of[nu]], 0.5, c, dt)))
     bad = ~(angles < MAX_ANGLE)
     if bad.any():
         k = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -254,12 +237,7 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
             f"angle {float(angles[nu, k])!r} outside [0, {MAX_ANGLE!r}) rad")
         raise StageEvaluationError(nu, t_k[k] + dt * tab.c[nu],
                                    str(exc)) from exc
-    out = np.zeros((n, 3))
-    for l in range(tab.n):
-        b_l = tab.b[l]
-        if b_l != 0.0:
-            out = out + b_l * stages[l]
-    return out
+    return _rows(sum((b_l * stages[l] for l, b_l in weights), zero), n)
 
 
 # ------------------------------------------------------ increment steps
@@ -267,22 +245,18 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
 
 def miller(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     """``coning.miller_single_speed(prev, curr).delta_phi`` row by row."""
-    return curr + _cross(prev, curr) / 12.0
+    return (curr.T + _miller_beta(*prev.T, *curr.T)).T
 
 
 def rk4_theta2(prior: np.ndarray, curr: np.ndarray, dt: float) -> np.ndarray:
     """``coning.rk4_theta2`` of the (prior, curr) windows, ``delta_phi``."""
-    omega0 = (prior + curr) / (2.0 * dt)
-    omega_mid = curr / dt
-    omega1 = (3.0 * curr - prior) / (2.0 * dt)
-    return curr + (dt * dt / 12.0) * _cross(omega0 - omega1, omega_mid)
+    return (curr.T + _rk4_theta2_beta(*prior.T, *curr.T, dt)).T
 
 
 def rk4_theta3(prior: np.ndarray, curr: np.ndarray,
                nxt: np.ndarray) -> np.ndarray:
     """``coning.rk4_theta3`` of the (prior, curr, next) windows."""
-    beta = (_cross(nxt, prior) + 13.0 * _cross(prior - nxt, curr)) / 288.0
-    return curr + beta
+    return (curr.T + _rk4_theta3_beta(*prior.T, *curr.T, *nxt.T)).T
 
 
 def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -291,18 +265,9 @@ def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
     ``increments`` has shape (n, m, 3); ``before[i]`` is the increment just
     before row i's window.
     """
-    n = increments.shape[0]
-    theta = np.zeros((n, 3))
-    half_sum = np.zeros((n, 3))
-    twelfth_sum = np.zeros((n, 3))
-    prev = before
-    for j in range(increments.shape[1]):
-        d = increments[:, j]
-        half_sum = half_sum + _cross(theta, d)
-        twelfth_sum = twelfth_sum + _cross(prev, d)
-        theta = theta + d
-        prev = d
-    return theta + 0.5 * half_sum + twelfth_sum / 12.0
+    # Shape (m, 3, n): the x, y and z columns of each increment.
+    columns = np.ascontiguousarray(increments.transpose(1, 2, 0))
+    return _rows(_two_speed_phi(columns, *before.T), increments.shape[0])
 
 
 class IncrementGrid:
@@ -322,8 +287,8 @@ class IncrementGrid:
         self.h = h
         k = np.arange(-1, n + 1, dtype=float)
         parts = [k[i:i + BLOCK + 2] for i in range(0, k.size, BLOCK + 2)]
-        self.values = np.concatenate(
-            [synth_many(signal, p * h, (p + 1.0) * h) for p in parts])
+        self.values = np.hstack(
+            [synth_many(signal, p * h, (p + 1.0) * h).T for p in parts]).T
 
     def span(self, first: int, last: int) -> np.ndarray:
         """Increments of the grid's intervals k = first..last-1."""
@@ -401,7 +366,7 @@ def two_speed_steps(grid: IncrementGrid, dt: float, minor: int, k0: int,
 
 def dcm_many(phi: np.ndarray) -> np.ndarray:
     """``so3.dcm_from_rotation_vector`` of every row; shape (n, 3, 3)."""
-    x, y, z = phi[:, 0], phi[:, 1], phi[:, 2]
+    x, y, z = phi.T
     n2 = x * x + y * y + z * z
     k1 = np.empty_like(n2)
     k2 = np.empty_like(n2)
@@ -412,20 +377,9 @@ def dcm_many(phi: np.ndarray) -> np.ndarray:
     angle = np.sqrt(n2[big])
     k1[big] = np.sin(angle) / angle
     k2[big] = (1.0 - np.cos(angle)) / n2[big]
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    k1x, k1y, k1z = k1 * x, k1 * y, k1 * z
-    out = np.empty((phi.shape[0], 3, 3))
-    out[:, 0, 0] = 1.0 - k2 * (yy + zz)
-    out[:, 0, 1] = k1z + k2 * xy
-    out[:, 0, 2] = -k1y + k2 * xz
-    out[:, 1, 0] = -k1z + k2 * xy
-    out[:, 1, 1] = 1.0 - k2 * (xx + zz)
-    out[:, 1, 2] = k1x + k2 * yz
-    out[:, 2, 0] = k1y + k2 * xz
-    out[:, 2, 1] = -k1x + k2 * yz
-    out[:, 2, 2] = 1.0 - k2 * (xx + yy)
-    return out
+    out = np.empty((phi.shape[0], 9))
+    out.T[:] = _dcm_entries(x, y, z, k1, k2)
+    return out.reshape(-1, 3, 3)
 
 
 def chain_product(mats: np.ndarray) -> np.ndarray:

@@ -45,8 +45,9 @@ from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4)
 from .so3 import attitude_error_angle
 from .trajectory import (MAX_SUBSTEPS, AnalyticAttitudeSignal,
-                         exact_attitude, preset, reference_attitude,
-                         reference_substeps, PRESET_NAMES)
+                         default_panels, exact_attitude, preset,
+                         reference_attitude, reference_substeps,
+                         PRESET_NAMES)
 
 #: Errors at or below this value sit in the roundoff floor and are excluded
 #: from order fits against a closed-form truth.
@@ -260,8 +261,9 @@ def validate_config(cfg: SweepConfig) -> None:
 
     Besides the shape of the sweep this bounds its work: every value must be
     finite, no cell may propagate more than ``MAX_CELL_STEPS`` sensor
-    intervals, and a step-doubled reference may not start above its budget
-    of ``MAX_SUBSTEPS`` substeps.
+    intervals, no increment may take more than ``MAX_SUBSTEPS`` quadrature
+    panels, and a step-doubled reference may not start above its budget of
+    ``MAX_SUBSTEPS`` substeps.
     """
     if cfg.signal not in PRESET_NAMES:
         raise ConfigError(
@@ -285,6 +287,7 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError(
             f"reference tolerance must be finite and >= 1e-13, got "
             f"{cfg.tolerance!r}")
+    signal = preset(cfg.signal)
     for method in cfg.methods:
         intervals = steps[-1] * (method.minor_steps or 1)
         if intervals > MAX_CELL_STEPS:
@@ -292,7 +295,13 @@ def validate_config(cfg: SweepConfig) -> None:
                 f"{method.label()} at dt={cfg.step_sizes[-1]!r} needs "
                 f"{intervals} sensor intervals, above the per-cell cap of "
                 f"{MAX_CELL_STEPS}")
-    signal = preset(cfg.signal)
+        panels = default_panels(
+            signal, cfg.step_sizes[0] / (method.minor_steps or 1))
+        if not method.uses_rate_samples and panels > MAX_SUBSTEPS:
+            raise ConfigError(
+                f"{method.label()} at dt={cfg.step_sizes[0]!r} needs "
+                f"{panels:.3g} quadrature panels per increment, above the "
+                f"budget of {MAX_SUBSTEPS}")
     if exact_attitude(signal, 0.0) is None:
         start = reference_substeps(signal, 0.0, cfg.horizon)
         if start > MAX_SUBSTEPS:

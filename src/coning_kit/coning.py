@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyWindow
-from .rate_model import MeasurementWindow
+from .rate_model import MeasurementWindow, _require_q
 from .rk import OmegaSampler
 from .so3 import cross
 from .trajectory import _GL_PAIRS
@@ -38,6 +38,58 @@ class ConingResult:
     beta: np.ndarray
 
 
+# Each correction is computed once, by a kernel over the components of its
+# increments: floats for the functions below, columns for ``_batch``.
+
+
+def _miller_beta(px, py, pz, cx, cy, cz):
+    """``beta = (1/12) prev x curr``."""
+    return ((py * cz - pz * cy) / 12.0,
+            (pz * cx - px * cz) / 12.0,
+            (px * cy - py * cx) / 12.0)
+
+
+def _rk4_theta2_beta(px, py, pz, cx, cy, cz, dt):
+    """Four-stage cross term on the affine node samples of (prior, curr)."""
+    two_dt = 2.0 * dt
+    # Node samples w(0), w(dt/2), w(dt) of the affine model.
+    w0x, w0y, w0z = (px + cx) / two_dt, (py + cy) / two_dt, (pz + cz) / two_dt
+    wmx, wmy, wmz = cx / dt, cy / dt, cz / dt
+    w1x, w1y, w1z = ((3.0 * cx - px) / two_dt, (3.0 * cy - py) / two_dt,
+                     (3.0 * cz - pz) / two_dt)
+    ux, uy, uz = w0x - w1x, w0y - w1y, w0z - w1z
+    scale = dt * dt / 12.0
+    return (scale * (uy * wmz - uz * wmy),
+            scale * (uz * wmx - ux * wmz),
+            scale * (ux * wmy - uy * wmx))
+
+
+def _rk4_theta3_beta(px, py, pz, cx, cy, cz, nx, ny, nz):
+    """``beta = (1/288) (next x prior + 13 (prior - next) x curr)``."""
+    ux, uy, uz = px - nx, py - ny, pz - nz
+    return (((ny * pz - nz * py) + 13.0 * (uy * cz - uz * cy)) / 288.0,
+            ((nz * px - nx * pz) + 13.0 * (uz * cx - ux * cz)) / 288.0,
+            ((nx * py - ny * px) + 13.0 * (ux * cy - uy * cx)) / 288.0)
+
+
+def _two_speed_phi(rows, px, py, pz):
+    """Two-speed rotation vector of the component triples ``rows`` that
+    follow the increment ``(px, py, pz)``."""
+    tx = ty = tz = hx = hy = hz = qx = qy = qz = 0.0
+    for dx, dy, dz in rows:
+        hx = hx + (ty * dz - tz * dy)
+        hy = hy + (tz * dx - tx * dz)
+        hz = hz + (tx * dy - ty * dx)
+        qx = qx + (py * dz - pz * dy)
+        qy = qy + (pz * dx - px * dz)
+        qz = qz + (px * dy - py * dx)
+        tx, ty, tz = tx + dx, ty + dy, tz + dz
+        px, py, pz = dx, dy, dz
+    return (tx + 0.5 * hx + qx / 12.0,
+            ty + 0.5 * hy + qy / 12.0,
+            tz + 0.5 * hz + qz / 12.0)
+
+
 def miller_single_speed(dtheta_prev: np.ndarray,
                         dtheta_curr: np.ndarray) -> ConingResult:
     """Single-speed correction ``beta = (1/12) dtheta_prev x dtheta_curr``.
@@ -49,9 +101,7 @@ def miller_single_speed(dtheta_prev: np.ndarray,
                   float(dtheta_prev[2]))
     cx, cy, cz = (float(dtheta_curr[0]), float(dtheta_curr[1]),
                   float(dtheta_curr[2]))
-    bx = (py * cz - pz * cy) / 12.0
-    by = (pz * cx - px * cz) / 12.0
-    bz = (px * cy - py * cx) / 12.0
+    bx, by, bz = _miller_beta(px, py, pz, cx, cy, cz)
     return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
                         beta=np.array([bx, by, bz]))
 
@@ -65,24 +115,13 @@ def rk4_theta2(window: MeasurementWindow) -> ConingResult:
     so only the cross term is evaluated; the result equals
     ``miller_single_speed`` on the same inputs to a few ulp (the tests
     assert both this identity and agreement with the literal node-sample
-    composition).
+    composition).  Any alignment: the cross term is invariant under a time
+    shift, and ``beta`` corrects the aligned increment.
     """
-    if window.q != 2:
-        raise ValueError(f"expected a Q=2 window, got Q={window.q}")
+    _require_q(window, 2)
     rows = window.increments.tolist()
     (px, py, pz), (cx, cy, cz) = rows
-    dt = float(window.dt)
-    two_dt = 2.0 * dt
-    # Node samples w(0), w(dt/2), w(dt) of the affine model.
-    w0x, w0y, w0z = (px + cx) / two_dt, (py + cy) / two_dt, (pz + cz) / two_dt
-    wmx, wmy, wmz = cx / dt, cy / dt, cz / dt
-    w1x, w1y, w1z = ((3.0 * cx - px) / two_dt, (3.0 * cy - py) / two_dt,
-                     (3.0 * cz - pz) / two_dt)
-    ux, uy, uz = w0x - w1x, w0y - w1y, w0z - w1z
-    scale = dt * dt / 12.0
-    bx = scale * (uy * wmz - uz * wmy)
-    by = scale * (uz * wmx - ux * wmz)
-    bz = scale * (ux * wmy - uy * wmx)
+    bx, by, bz = _rk4_theta2_beta(px, py, pz, cx, cy, cz, float(window.dt))
     ax, ay, az = rows[window.alignment]
     return ConingResult(delta_phi=np.array([ax + bx, ay + by, az + bz]),
                         beta=np.array([bx, by, bz]))
@@ -94,15 +133,11 @@ def rk4_theta3(window: MeasurementWindow) -> ConingResult:
     ``beta = (1/288) (next x prior + 13 (prior - next) x curr)``, the
     quadratic-model node samples pushed through the fourth-order closed
     form.  Requires the increment one step ahead, so in streaming use the
-    update is lagged by one interval.
+    update is lagged by one interval.  Alignment 1 only.
     """
-    if window.q != 3:
-        raise ValueError(f"expected a Q=3 window, got Q={window.q}")
+    _require_q(window, 3, aligned=True)
     (px, py, pz), (cx, cy, cz), (nx, ny, nz) = window.increments.tolist()
-    ux, uy, uz = px - nx, py - ny, pz - nz
-    bx = ((ny * pz - nz * py) + 13.0 * (uy * cz - uz * cy)) / 288.0
-    by = ((nz * px - nx * pz) + 13.0 * (uz * cx - ux * cz)) / 288.0
-    bz = ((nx * py - ny * px) + 13.0 * (ux * cy - uy * cx)) / 288.0
+    bx, by, bz = _rk4_theta3_beta(px, py, pz, cx, cy, cz, nx, ny, nz)
     return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
                         beta=np.array([bx, by, bz]))
 
@@ -121,31 +156,14 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
     be a real measurement, since fabricating it degrades the 1/12 term to
     first order.  (The running-sum term is insensitive to whether the
     current increment is included: its self-cross vanishes.)  With m = 1
-    this is exactly the single-speed correction.
+    this is exactly the single-speed correction.  The increments and
+    ``dtheta_before_first`` are numpy arrays of shape (3,).
     """
     if len(increments) == 0:
         raise EmptyWindow("two-speed correction needs at least one increment")
-    tx = ty = tz = 0.0
-    hx = hy = hz = 0.0
-    qx = qy = qz = 0.0
-    px, py, pz = (float(dtheta_before_first[0]),
-                  float(dtheta_before_first[1]),
-                  float(dtheta_before_first[2]))
-    for d in increments:
-        dx, dy, dz = float(d[0]), float(d[1]), float(d[2])
-        hx += ty * dz - tz * dy
-        hy += tz * dx - tx * dz
-        hz += tx * dy - ty * dx
-        qx += py * dz - pz * dy
-        qy += pz * dx - px * dz
-        qz += px * dy - py * dx
-        tx += dx
-        ty += dy
-        tz += dz
-        px, py, pz = dx, dy, dz
-    return np.array([tx + 0.5 * hx + qx / 12.0,
-                     ty + 0.5 * hy + qy / 12.0,
-                     tz + 0.5 * hz + qz / 12.0])
+    px, py, pz = dtheta_before_first.tolist()
+    return np.array(_two_speed_phi([d.tolist() for d in increments],
+                                   px, py, pz))
 
 
 def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,

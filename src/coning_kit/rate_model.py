@@ -14,7 +14,10 @@ is then sampled at the three solver nodes t = 0, dt/2, dt.
 Window layout: the increment at ``alignment`` (default 1) covers ``[0, dt]``
 and is the step being propagated; increment j covers
 ``[(j - alignment) dt, (j - alignment + 1) dt]``.  A Q=2 window is therefore
-(prior, current) and a Q=3 window (prior, current, next).
+(prior, current) and a Q=3 window (prior, current, next).  The closed forms
+(``fit_affine``, ``rk_node_samples_affine``, ``rk_node_samples_quadratic``
+and ``coning.rk4_theta3``) hold for alignment 1 only and raise
+``ValueError`` for any other.
 """
 
 from __future__ import annotations
@@ -101,9 +104,13 @@ _QUAD_NODE_MAP = np.array([[8.0, 20.0, -4.0],
                            [-4.0, 20.0, 8.0]])
 
 
-def _require_q(window: MeasurementWindow, q: int) -> None:
+def _require_q(window: MeasurementWindow, q: int,
+               aligned: bool = False) -> None:
     if window.q != q:
         raise ValueError(f"expected a Q={q} window, got Q={window.q}")
+    if aligned and window.alignment != 1:
+        raise ValueError(
+            f"closed form needs alignment 1, got {window.alignment}")
 
 
 def fit_affine(window: MeasurementWindow) -> RatePolynomial:
@@ -112,7 +119,7 @@ def fit_affine(window: MeasurementWindow) -> RatePolynomial:
     Closed form of the 2x2 integral system:
     ``p1 = (prior + curr) / (2 dt)``, ``p2 = (curr - prior) / dt**2``.
     """
-    _require_q(window, 2)
+    _require_q(window, 2, aligned=True)
     dt = window.dt
     prior, curr = window.increments
     p1 = (prior + curr) / (2.0 * dt)
@@ -131,11 +138,11 @@ def fit_polynomial(window: MeasurementWindow) -> RatePolynomial:
 
     Solves the QxQ linear system whose row j integrates each monomial over
     increment j's span (LU with partial pivoting).  Specializes to
-    ``fit_affine`` and ``fit_quadratic`` for Q = 2, 3.  Raises
-    ``SingularSystem`` if the design matrix's condition estimate exceeds
-    1e12; the monomial basis degrades quickly beyond Q ~ 5.
+    ``fit_affine`` for Q = 2 at alignment 1 and to ``fit_quadratic`` for
+    Q = 3.  Raises ``SingularSystem`` if the design matrix's condition
+    estimate exceeds 1e12; the monomial basis degrades quickly beyond Q ~ 5.
     """
-    if window.q == 2:
+    if window.q == 2 and window.alignment == 1:
         return fit_affine(window)
     return _fit_integral_system(window)
 
@@ -174,7 +181,7 @@ def rk_node_samples_affine(window: MeasurementWindow) -> RkNodeSamples:
     ``w(dt) = (3 curr - prior)/(2 dt)``; identical to evaluating
     ``fit_affine`` at the three nodes.
     """
-    _require_q(window, 2)
+    _require_q(window, 2, aligned=True)
     dt = window.dt
     prior, curr = window.increments
     return RkNodeSamples(omega0=(prior + curr) / (2.0 * dt),
@@ -184,17 +191,7 @@ def rk_node_samples_affine(window: MeasurementWindow) -> RkNodeSamples:
 
 def rk_node_samples_quadratic(window: MeasurementWindow) -> RkNodeSamples:
     """Solver-node rate samples implied by the quadratic model."""
-    _require_q(window, 3)
+    _require_q(window, 3, aligned=True)
     nodes = (_QUAD_NODE_MAP @ window.increments) / (24.0 * window.dt)
     return RkNodeSamples(omega0=nodes[0], omega_mid=nodes[1], omega1=nodes[2])
 
-
-def vandermonde_rows(times, q: int) -> np.ndarray:
-    """Vandermonde matrix with row i = (1, t_i, ..., t_i**(q-1)).
-
-    Powers increase with column index to match the ``RatePolynomial``
-    coefficient order.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return np.vander(np.asarray(times, dtype=float), q, increasing=True)

@@ -15,8 +15,10 @@ forms in angular-rate samples.
 ``integrate_attitude_step`` is the per-call path of a strapdown update: it
 runs the scheme on Python floats, with the same operations in the same
 order as ``rk_step`` on ``kinematics.bortz_rhs``, so the two agree bit for
-bit; ``rk_step`` is its oracle in the tests.  Both read the tableau's
-coefficients from the plan ``ButcherTableau`` precomputes as Python floats.
+bit; ``rk_step`` is its oracle in the tests.  Its stages are evaluated by
+``kinematics._apply_jacobian``, the kernel the array engine runs on
+columns.  Both step routines read the tableau's coefficients from the plan
+``ButcherTableau`` precomputes as Python floats.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StageEvaluationError
-from .kinematics import JacobianMode, jinv_coefficient
+from .kinematics import JacobianMode, _apply_jacobian, jinv_coefficient
 from .so3 import cross
 
 OdeFunction = Callable[[float, np.ndarray], np.ndarray]
@@ -206,16 +208,7 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
                 c = 1.0 / 12.0
         except Exception as exc:
             raise StageEvaluationError(nu, t_nu, str(exc)) from exc
-        # kinematics.bortz_rhs, term by term.
-        cx = py * wz - pz * wy
-        cy = pz * wx - px * wz
-        cz = px * wy - py * wx
-        dx = py * cz - pz * cy
-        dy = pz * cx - px * cz
-        dz = px * cy - py * cx
-        stages.append((dt * (wx + 0.5 * cx + c * dx),
-                       dt * (wy + 0.5 * cy + c * dy),
-                       dt * (wz + 0.5 * cz + c * dz)))
+        stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, 0.5, c, dt))
     ox = oy = oz = 0.0
     for l, b_l in weights:
         sx, sy, sz = stages[l]

@@ -86,14 +86,18 @@ def dcm_from_rotation_vector(phi: np.ndarray) -> np.ndarray:
         angle = math.sqrt(n2)
         k1 = math.sin(angle) / angle
         k2 = (1.0 - math.cos(angle)) / n2
+    return np.array(_dcm_entries(x, y, z, k1, k2)).reshape(3, 3)
+
+
+def _dcm_entries(x, y, z, k1, k2):
+    """Row-major entries of ``I - k1 [phi x] + k2 [phi x]^2``, on floats
+    for ``dcm_from_rotation_vector`` or columns for ``_batch.dcm_many``."""
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz = x * y, x * z, y * z
     k1x, k1y, k1z = k1 * x, k1 * y, k1 * z
-    return np.array([
-        1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
-        -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
-        k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy),
-    ]).reshape(3, 3)
+    return (1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
+            -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
+            k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy))
 
 
 def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:

@@ -13,10 +13,10 @@ Reference attitudes and synthetic increments are deterministic: repeated
 calls with equal inputs return bitwise-identical results.
 
 ``omega_at`` and ``synth_delta_theta`` are the per-call path: the rates of
-the polynomial and Fourier signals are computed on Python floats, with the
-same operations in the same order as the numpy expressions they replaced,
-so the two agree bit for bit; those numpy forms are their oracles in the
-tests.
+the polynomial and Fourier signals come from ``_rate_xyz`` on Python
+floats, a kernel ``_batch.omega_many`` also runs on columns.  It keeps the
+operations and their order of the numpy forms that are its oracles in the
+tests, so the per-call results agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ _GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 PRESET_NAMES = ("poly3", "fourier3", "coning")
 
 #: Most steps one propagation may take: a sweep cell's sensor intervals
-#: (``bench.MAX_CELL_STEPS``), or the substeps of one refinement of
-#: ``reference_attitude``.
+#: (``bench.MAX_CELL_STEPS``), the substeps of one refinement of
+#: ``reference_attitude``, or the quadrature panels of one increment.
 MAX_SUBSTEPS = 2 ** 20
 
 
@@ -169,20 +169,21 @@ def _coning_phi_and_rate(signal: ConingRotationVector, t: float):
     return phi, phi_dot
 
 
-def _rate_xyz(signal: AnalyticAttitudeSignal, t: float):
-    """Components ``(wx, wy, wz)`` of ``omega_at(signal, t)``, as floats.
+def _rate_xyz(signal: AnalyticAttitudeSignal, t, sin=math.sin):
+    """Components ``(wx, wy, wz)`` of ``omega_at(signal, t)``.
 
-    The polynomial runs Horner's rule of ``rate_model.eval_rate`` and the
-    Fourier sum the per-term loop, component by component.  The cone's
-    rate is the one ``omega_at`` computes in numpy.
+    Horner's rule of ``rate_model.eval_rate``, or the Fourier sum term by
+    term: floats for a float ``t``, columns for the array engine's 1-d
+    ``t`` with ``sin=np.sin`` (a constant polynomial gives floats).  The
+    cone's rate is ``omega_at``'s, for a float ``t`` only.
     """
     if isinstance(signal, FourierRate):
         wx = wy = wz = 0.0
         for ax, ay, az, freq, phase in signal._plan:
-            s = math.sin(freq * t + phase)
-            wx += ax * s
-            wy += ay * s
-            wz += az * s
+            s = sin(freq * t + phase)
+            wx = wx + ax * s
+            wy = wy + ay * s
+            wz = wz + az * s
         return wx, wy, wz
     if isinstance(signal, PolynomialRate):
         origin, (wx, wy, wz), lower = signal._plan
@@ -235,6 +236,13 @@ def _rate_scale(signal: AnalyticAttitudeSignal) -> float:
     return 0.0
 
 
+def default_panels(signal: AnalyticAttitudeSignal, width: float):
+    """Panel count ``synth_delta_theta`` uses by default over ``width``:
+    an int, or ``math.inf`` where the count overflows a float."""
+    x = width * _rate_scale(signal) / math.pi
+    return math.ceil(x) + 2 if x < math.inf else math.inf
+
+
 def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float, t1: float,
                       quadrature: QuadratureSpec | None = None) -> np.ndarray:
     """Integrated-rate increment ``int omega dt`` over ``[t0, t1]``.
@@ -244,13 +252,16 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     count defaults to ``ceil((t1 - t0) * max_frequency / pi) + 2``, sized so
     synthesis error sits far below any integrator error under test.
     Increments are additive across adjacent intervals.  Raises
-    ``ValueError`` unless ``t1 > t0`` and the width ``t1 - t0`` is finite.
+    ``ValueError`` unless ``t1 > t0`` and the width ``t1 - t0`` is finite,
+    and, before evaluating any rate, if the panel count exceeds
+    ``MAX_SUBSTEPS``.
     """
     _check_interval(t0, t1)
-    if quadrature is None:
-        panels = math.ceil((t1 - t0) * _rate_scale(signal) / math.pi) + 2
-    else:
-        panels = quadrature.panels_per_interval
+    panels = (default_panels(signal, t1 - t0) if quadrature is None
+              else quadrature.panels_per_interval)
+    if panels > MAX_SUBSTEPS:
+        raise ValueError(f"{panels:.3g} quadrature panels exceed the budget "
+                         f"of {MAX_SUBSTEPS}")
     h = (t1 - t0) / panels
     half = 0.5 * h
     ax = ay = az = 0.0

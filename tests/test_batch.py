@@ -1,11 +1,11 @@
 """The array engine against the per-call functions it replaces.
 
 Each array function is checked row by row against its scalar oracle.
-Where the array code repeats the scalar arithmetic exactly (the polynomial
-rate, the coning corrections, the small-angle DCM branch) the results must
-be equal.  Where numpy's sin, cos or 3x3 products stand in for the scalar
-ones, or the composition is regrouped, the difference is bounded relative
-to the magnitude of the compared quantity:
+Where the array code runs the scalar function's kernel on columns (the
+polynomial rate, the coning corrections, the small-angle DCM branch) the
+results must be equal.  Where numpy's sin, cos or 3x3 products stand in
+for the scalar ones, or the composition is regrouped, the difference is
+bounded relative to the magnitude of the compared quantity:
 
 - ``ROW_TOL`` for one evaluation (rate, Jacobian, increment, DCM, RK step):
   a few ulp observed, 1e-14 allowed;
@@ -14,6 +14,10 @@ to the magnitude of the compared quantity:
 
 How many node or stage times share one ``omega_many`` call changes nothing:
 the batched results equal those of one call per node bit for bit.
+
+A kernel shared by both sides cannot show its own error in those
+comparisons, so ``TestAgainstNumpy`` also holds each array function to a
+numpy formulation of its own, within ``ROW_TOL``.
 """
 
 import math
@@ -31,12 +35,14 @@ from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import (AngleOutOfDomain, NotNearOrthogonal,
                                StageEvaluationError)
-from coning_kit.kinematics import JacobianMode, forward_jacobian
-from coning_kit.rate_model import MeasurementWindow, RatePolynomial
-from coning_kit.rk import (integrate_attitude_step, tableau_explicit_midpoint,
+from coning_kit.kinematics import JacobianMode, forward_jacobian, jinv
+from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
+                                   eval_rate)
+from coning_kit.rk import (integrate_attitude_step, rk_step,
+                           tableau_explicit_midpoint,
                            tableau_forward_euler, tableau_rk3, tableau_rk4)
 from coning_kit.so3 import (SMALL_ANGLE, attitude_error_angle, compose,
-                            dcm_from_rotation_vector)
+                            dcm_from_rotation_vector, wedge)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
                                    PolynomialRate, omega_at, preset,
                                    synth_delta_theta)
@@ -113,7 +119,7 @@ class TestSignals:
         v = rng.normal(size=(n, 3))
         k1, k2 = _batch.right_jacobian_coefficients(
             np.sqrt((phi * phi).sum(axis=1)))
-        got = _batch.right_jacobian_apply(k1[:, None], k2[:, None], phi, v)
+        got = _batch.right_jacobian_apply(k1, k2, phi, v)
         for row, p, w in zip(got, phi, v):
             assert_rows_close(row, forward_jacobian(p) @ w)
 
@@ -503,6 +509,84 @@ class TestComposer:
         mats[n - 1, 1, 1] = np.nan
         with pytest.raises(NotNearOrthogonal):
             _batch.chain_product(mats)
+
+
+class TestAgainstNumpy:
+    """Each array function against numpy's cross product, matrix products
+    and sine, none of which runs a kernel of the package."""
+
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_corrections(self, seed):
+        rng = np.random.default_rng(seed)
+        dt = float(10.0 ** rng.uniform(-3.0, 0.0))
+        inc = rng.uniform(-0.5, 0.5, (14, 3))
+        prior, curr, nxt = inc[:-2], inc[1:-1], inc[2:]
+        # rk4_theta2 equals Miller's correction to a few ulp.
+        miller = curr + np.cross(prior, curr) / 12.0
+        assert_rows_close(_batch.miller(prior, curr), miller)
+        assert_rows_close(_batch.rk4_theta2(prior, curr, dt), miller)
+        beta = (np.cross(nxt, prior)
+                + 13.0 * np.cross(prior - nxt, curr)) / 288.0
+        assert_rows_close(_batch.rk4_theta3(prior, curr, nxt), curr + beta)
+
+    @given(seed=seeds, minor=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_two_speed(self, seed, minor):
+        rng = np.random.default_rng(seed)
+        windows = rng.uniform(-0.5, 0.5, (5, minor, 3))
+        before = rng.uniform(-0.5, 0.5, (5, 3))
+        theta, half, twelfth = (np.zeros((5, 3)) for _ in range(3))
+        prev = before
+        for j in range(minor):
+            d = windows[:, j]
+            half = half + np.cross(theta, d)
+            twelfth = twelfth + np.cross(prev, d)
+            theta, prev = theta + d, d
+        assert_rows_close(_batch.two_speed(windows, before),
+                          theta + 0.5 * half + twelfth / 12.0)
+
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_dcm_many(self, seed):
+        rng = np.random.default_rng(seed)
+        phi = random_rotation_vectors(rng, 8, 3.0)
+        for got, p in zip(_batch.dcm_many(phi), phi):
+            a, w = np.linalg.norm(p), wedge(p)
+            want = (np.eye(3) - math.sin(a) / a * w
+                    + (1.0 - math.cos(a)) / (a * a) * (w @ w))
+            assert_rows_close(got, want)
+
+    @pytest.mark.parametrize("kind", ["poly", "fourier"])
+    @given(seed=seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_omega_many(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        t = rng.uniform(-5.0, 5.0, 16)
+        if kind == "poly":
+            want = np.array([eval_rate(signal.model, x) for x in t])
+        else:
+            want = sum(amp * np.sin(freq * t + phase)[:, None]
+                       for amp, freq, phase in signal.terms)
+        assert np.array_equal(_batch.omega_many(signal, t), want)
+
+    @pytest.mark.parametrize("mode", list(JacobianMode))
+    @pytest.mark.parametrize("factory", TABLEAUX)
+    @given(seed=seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_rate_steps(self, factory, mode, seed):
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, "fourier")
+        tab = factory()
+        dt = float(10.0 ** rng.uniform(-3.0, -1.0))
+
+        def f(t, phi):
+            return jinv(phi, mode) @ omega_at(signal, t)
+
+        got = _batch.rate_steps(signal, 0.0, dt, tab, mode, 0, 6)
+        for k, row in enumerate(got):
+            assert_rows_close(row, rk_step(f, k * dt, np.zeros(3), dt, tab))
 
 
 def test_reference_engine_matches_the_scalar_step_loop():

@@ -126,15 +126,18 @@ class TestSweepCommand:
         (["--halvings", "40"], "cap"),
         (["--signal", "fourier3", "--horizon", "1000000", "--dt-max", "1",
           "--halvings", "0"], "budget"),
+        (["--signal", "coning", "--dts", "1e6,5e5,2.5e5", "--horizon",
+          "1e6"], "panels"),
     ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40",
-            "reference-budget"])
+            "reference-budget", "panel-budget"])
     def test_unbounded_work_rejected_before_sweeping(self, flags, named,
                                                      tmp_path, monkeypatch,
                                                      capsys):
         # Each once escaped validation: NaN and inf horizons as a traceback
         # from round(), a NaN tolerance and 40 halvings as a sweep that
         # never ends, a 10^6 s fourier3 horizon as a step-doubled reference
-        # that starts at 2.2e6 substeps.  None may start any propagation.
+        # that starts at 2.2e6 substeps, 10^6 s coning increments as 3.2e6
+        # quadrature panels each.  None may start any propagation.
         def no_work(*args, **kwargs):
             raise AssertionError("sweep started")
 

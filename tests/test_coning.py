@@ -148,6 +148,14 @@ class TestRk4Theta3:
             scale = max(1e-3, np.max(np.abs(literal)))
             assert np.max(np.abs(got - literal)) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("alignment", [0, 2])
+    def test_rejects_other_alignment(self, alignment):
+        # (1/288)(next x prior + 13 (prior - next) x curr) corrects the
+        # middle increment; at alignment 0 the correction is another one.
+        window = MeasurementWindow(np.eye(3), 0.1, alignment=alignment)
+        with pytest.raises(ValueError, match="alignment 1"):
+            rk4_theta3(window)
+
     def test_swapping_outer_increments_negates_beta(self):
         rng = np.random.default_rng(507)
         for _ in range(200):

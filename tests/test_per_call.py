@@ -1,10 +1,11 @@
 """The per-call strapdown functions against their numpy formulations.
 
-``so3.compose``, the ``coning`` corrections, ``rk.integrate_attitude_step``
-and the signal functions ``trajectory.omega_at`` and ``synth_delta_theta``
-run on Python floats.  Each keeps the operations and their order of the
-numpy expression it replaced, written out here as the oracle, so the two
-must agree bit for bit: ``np.array_equal`` on every returned vector.
+``so3.compose``, the ``coning`` corrections, ``kinematics.bortz_rhs``,
+``rk.integrate_attitude_step`` and the signal functions
+``trajectory.omega_at`` and ``synth_delta_theta`` run on Python floats.
+Each keeps the operations and their order of the numpy expression it
+replaced, written out here as the oracle, so the two must agree bit for
+bit: ``np.array_equal`` on every returned vector.
 ``integrate_attitude_step`` is held to ``rk_step`` on the Bortz right-hand
 side, and ``rk_step`` to its loop over the tableau arrays.
 
@@ -24,7 +25,8 @@ from hypothesis import strategies as st
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import AngleOutOfDomain, StageEvaluationError
-from coning_kit.kinematics import JacobianMode, bortz_rhs, forward_jacobian
+from coning_kit.kinematics import (JacobianMode, bortz_rhs, forward_jacobian,
+                                   jinv_coefficient)
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
                                    eval_rate, rk_node_samples_affine)
 from coning_kit.rk import (ButcherTableau, integrate_attitude_step, rk_step,
@@ -59,7 +61,10 @@ def np_miller(prev, curr):
 
 
 def np_rk4_theta2(window):
-    nodes = rk_node_samples_affine(window)
+    # The node samples at the default alignment: the cross term does not
+    # change under a shift of time, so it serves any alignment.
+    nodes = rk_node_samples_affine(
+        MeasurementWindow(window.increments, window.dt))
     dt = window.dt
     beta = (dt * dt / 12.0) * cross(nodes.omega0 - nodes.omega1,
                                     nodes.omega_mid)
@@ -133,6 +138,18 @@ def np_compose(t2, t1):
     if np_defect(t) > 1e-12:
         t = np_orthonormalize(t)
     return t
+
+
+def np_bortz_rhs(phi, omega, mode):
+    phi = np.asarray(phi, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    if mode is JacobianMode.EXACT_CLOSED_FORM:
+        x, y, z = phi
+        c = jinv_coefficient(math.sqrt(x * x + y * y + z * z))
+    else:
+        c = 1.0 / 12.0
+    c1 = cross(phi, omega)
+    return omega + 0.5 * c1 + c * cross(phi, c1)
 
 
 def bortz_attitude_step(sampler, t_k, dt, tab, mode):
@@ -241,6 +258,21 @@ def random_sampler(rng, t_k, scale):
         return p[0] + p[1] * tau + p[2] * tau * tau
 
     return sampler
+
+
+class TestBortzRhs:
+    @pytest.mark.parametrize("mode", list(JacobianMode))
+    @given(seed=seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_form(self, mode, seed):
+        # Angles from 1e-8 to 6 rad cover every branch of the coefficient.
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=3)
+        phi = direction / np.linalg.norm(direction) * \
+            10.0 ** rng.uniform(-8.0, math.log10(6.0))
+        omega = vectors(rng, 1)[0]
+        assert np.array_equal(bortz_rhs(phi, omega, mode),
+                              np_bortz_rhs(phi, omega, mode))
 
 
 class TestIntegrateAttitudeStep:

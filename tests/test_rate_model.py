@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from coning_kit.errors import DegenerateStep
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
+                                   _fit_integral_system,
                                    eval_rate, fit_affine, fit_polynomial,
                                    fit_quadratic, rk_node_samples_affine,
-                                   rk_node_samples_quadratic,
-                                   vandermonde_rows)
+                                   rk_node_samples_quadratic)
 
 
 def poly_increments(coeffs, dt, q, alignment=1):
@@ -85,6 +85,13 @@ class TestFitAffine:
         model = fit_affine(window)
         assert np.array_equal(model.coeffs[0], [1.0, 0.0, 0.0])
         assert np.array_equal(model.coeffs[1], [2.0, 0.0, 0.0])
+
+    def test_rejects_other_alignment(self):
+        # The closed form assumes spans [-dt, 0] and [0, dt].
+        window = MeasurementWindow(
+            np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
+        with pytest.raises(ValueError, match="alignment 1"):
+            fit_affine(window)
 
     def test_recovers_random_affine_rate(self):
         rng = np.random.default_rng(401)
@@ -167,6 +174,20 @@ class TestFitPolynomial:
             scale = max(1.0, np.max(np.abs(separate)))
             assert np.max(np.abs(mixed - separate)) <= 1e-12 * scale
 
+    def test_q2_off_alignment_solves_the_integral_system(self):
+        # At alignment 0 the window spans [0, dt] and [dt, 2 dt]; the affine
+        # closed form assumes [-dt, 0] and [0, dt] and gave the constant
+        # term [2.5, 1.5, 0.5].
+        window = MeasurementWindow(
+            np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
+        model = fit_polynomial(window)
+        assert np.array_equal(model.coeffs,
+                              _fit_integral_system(window).coeffs)
+        assert np.allclose(model.coeffs[0], [-0.5, 2.5, 5.5],
+                           rtol=0.0, atol=1e-12)
+        back = poly_increments(model.coeffs, 0.1, 2, alignment=0)
+        assert np.allclose(back, window.increments, rtol=0.0, atol=1e-14)
+
     def test_integral_consistency(self):
         # integrating the fitted model over each span returns the inputs
         rng = np.random.default_rng(408)
@@ -230,7 +251,20 @@ class TestNodeSamplesAffine:
                 assert np.max(np.abs(node - expected)) <= 1e-15 * scale
 
 
+    def test_rejects_other_alignment(self):
+        window = MeasurementWindow(
+            np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
+        with pytest.raises(ValueError, match="alignment 1"):
+            rk_node_samples_affine(window)
+
+
 class TestNodeSamplesQuadratic:
+    @pytest.mark.parametrize("alignment", [0, 2])
+    def test_rejects_other_alignment(self, alignment):
+        window = MeasurementWindow(np.eye(3), 0.1, alignment=alignment)
+        with pytest.raises(ValueError, match="alignment 1"):
+            rk_node_samples_quadratic(window)
+
     def test_equal_increments_give_constant_rate(self):
         # rows of the node map each sum to 24
         inc = np.array([0.5, 0.1, -0.4])
@@ -279,32 +313,6 @@ class TestNodeSamplesQuadratic:
                 expected = eval_rate(model, t)
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(node - expected)) <= 1e-13 * scale
-
-
-class TestVandermonde:
-    def test_single_time(self):
-        assert np.array_equal(vandermonde_rows([0.0], 3),
-                              [[1.0, 0.0, 0.0]])
-
-    def test_three_times_two_columns(self):
-        rows = vandermonde_rows([0.0, 0.5, 1.0], 2)
-        assert np.array_equal(rows, [[1.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
-
-    def test_reproduces_affine_node_factor(self):
-        # node times (0, 1/2, 1) against an affine model reproduce the
-        # affine node samples
-        rng = np.random.default_rng(414)
-        coeffs = rng.uniform(-1.0, 1.0, (2, 3))
-        window = MeasurementWindow(poly_increments(coeffs, 1.0, 2), 1.0)
-        nodes = rk_node_samples_affine(window)
-        stacked = vandermonde_rows([0.0, 0.5, 1.0], 2) @ coeffs
-        assert np.max(np.abs(stacked[0] - nodes.omega0)) <= 1e-13
-        assert np.max(np.abs(stacked[1] - nodes.omega_mid)) <= 1e-13
-        assert np.max(np.abs(stacked[2] - nodes.omega1)) <= 1e-13
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            vandermonde_rows([0.0], 0)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

@@ -214,6 +214,20 @@ class TestSynthDeltaTheta:
         with pytest.raises(ValueError, match="t1 > t0"):
             synth_delta_theta(preset(name), t0, t1)
 
+    @pytest.mark.parametrize("t1, quadrature", [
+        (1e12, None), (1e308, None),
+        (1.0, QuadratureSpec(trajectory.MAX_SUBSTEPS + 1))],
+        ids=["default-panels", "panels-overflow", "quadrature-spec"])
+    def test_panel_budget_checked_before_any_rate(self, t1, quadrature,
+                                                  monkeypatch):
+        # fourier3 over [0, 1e12] s takes 7.1e11 panels by default.
+        def no_rate(*args, **kwargs):
+            raise AssertionError("rate evaluated")
+
+        monkeypatch.setattr(trajectory, "_rate_xyz", no_rate)
+        with pytest.raises(ValueError, match="panels exceed the budget"):
+            synth_delta_theta(preset("fourier3"), 0.0, t1, quadrature)
+
 
 class TestReferenceAttitude:
     def test_constant_rate_single_level(self):
