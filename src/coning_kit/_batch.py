@@ -19,10 +19,10 @@ steps or increments.
 
 ``compose_steps`` is the one composer: it asks a producer for one block of
 ``BLOCK`` steps at a time, turns the rotation vectors into DCMs and
-multiplies them in a pairwise tree; only the fold of block products onto the
-running attitude is sequential.  Any product whose orthogonality defect
-exceeds ``DRIFT_TOL`` is projected back onto SO(3), the rule ``so3.compose``
-applies; that is the engine's only drift control.
+multiplies them in a plain pairwise tree; only the fold of block products
+onto the running attitude is sequential.  Drift is checked once per block,
+by ``so3.compose`` at that fold; the product of ``BLOCK`` DCMs stays well
+inside ``so3.DRIFT_TOL``, which ``tests/test_batch.py`` holds it to.
 
 Each array function shares the kernel of the per-call function it
 replaces: the ``coning`` correction kernels, ``so3._dcm_entries``,
@@ -49,7 +49,7 @@ from .coning import (_miller_beta, _rk4_theta2_beta, _rk4_theta3_beta,
 from .errors import AngleOutOfDomain, StageEvaluationError
 from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
                          _apply_jacobian)
-from .so3 import SMALL_ANGLE, _dcm_entries, compose, orthonormalize
+from .so3 import SMALL_ANGLE, _dcm_entries, compose
 from .trajectory import (_GL_NODES, _GL_WEIGHTS, ConingRotationVector,
                          _rate_scale, _rate_xyz)
 
@@ -57,15 +57,9 @@ from .trajectory import (_GL_NODES, _GL_WEIGHTS, ConingRotationVector,
 #: Bounds the engine's working set whatever the step count.
 BLOCK = 2048
 
-#: Orthogonality defect above which a product is projected onto SO(3); the
-#: threshold ``so3.compose`` applies.
-DRIFT_TOL = 1e-12
-
 # Below this angle the right-Jacobian coefficients come from their Taylor
 # series; (a - sin a) / a^3 loses all digits to cancellation near zero.
 _JACOBIAN_SERIES = 1e-2
-
-_EYE3 = np.eye(3)
 
 
 def _rows(components, n: int) -> np.ndarray:
@@ -385,23 +379,12 @@ def dcm_many(phi: np.ndarray) -> np.ndarray:
 def chain_product(mats: np.ndarray) -> np.ndarray:
     """``mats[n-1] @ ... @ mats[1] @ mats[0]`` by a pairwise tree.
 
-    Each level multiplies neighbouring pairs; a product whose orthogonality
-    defect is not at most ``DRIFT_TOL`` (NaN included) is projected with
-    ``so3.orthonormalize``, which raises ``NotNearOrthogonal`` on a matrix
-    too far from SO(3) or with a non-finite entry.
+    Each level multiplies neighbouring pairs.  No drift control: the caller
+    passes the result through ``so3.compose``.
     """
-    while mats.shape[0] > 1:
-        pairs = mats.shape[0] // 2
-        prod = np.matmul(mats[1:2 * pairs:2], mats[0:2 * pairs:2])
-        # matmul is faster on a contiguous transpose; same products.
-        g = np.matmul(np.ascontiguousarray(prod.transpose(0, 2, 1)),
-                      prod) - _EYE3
-        defect = np.sqrt((g * g).sum(axis=(1, 2)))
-        for i in np.flatnonzero(~(defect <= DRIFT_TOL)):
-            prod[i] = orthonormalize(prod[i])
-        if mats.shape[0] % 2:
-            prod = np.concatenate([prod, mats[-1:]])
-        mats = prod
+    while len(mats) > 1:
+        prod = mats[1::2] @ mats[:len(mats) - 1:2]
+        mats = np.concatenate([prod, mats[-1:]]) if len(mats) % 2 else prod
     return mats[0]
 
 
@@ -410,9 +393,10 @@ def compose_steps(produce, n: int, block: int = BLOCK) -> np.ndarray:
 
     ``produce(k0, k1)`` returns the rotation vectors of steps k0..k1-1; each
     block's DCMs are multiplied by ``chain_product`` and the block products
-    folded onto the attitude with ``so3.compose``, right to left.
+    folded onto the attitude with ``so3.compose``, right to left: the
+    engine's drift control, once per block.
     """
-    t_mat = _EYE3
+    t_mat = np.eye(3)
     for k0 in range(0, n, block):
         dphi = produce(k0, min(k0 + block, n))
         t_mat = compose(chain_product(dcm_many(dphi)), t_mat)

@@ -11,9 +11,10 @@ coning corrections.
 Propagation runs on the array engine of ``_batch``.  Every step starts from
 a zero rotation vector, so a method's per-step rotation vectors are
 independent and are computed for blocks of ``_batch.BLOCK`` steps at once;
-one composer multiplies their DCMs in a pairwise tree.  The single drift
-control is the rule of ``so3.compose``: a product whose orthogonality defect
-exceeds 1e-12 is projected back onto SO(3).  Like a strapdown computer,
+one composer multiplies their DCMs in a pairwise tree.  Drift is checked
+once per block, when the block's product is folded onto the running
+attitude by ``so3.compose``: a product whose orthogonality defect exceeds
+``so3.DRIFT_TOL`` is projected back onto SO(3).  Like a strapdown computer,
 which samples each integrated-rate increment once and gives it to every
 algorithm, a sweep synthesizes each distinct sensor interval once: the
 increment methods share one grid of increments per interval width, and a
@@ -190,14 +191,34 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     one increment past the horizon).  Both run on the array engine: the
     method's producer computes the per-step rotation vectors a block of
     steps at a time, and one composer multiplies their DCMs right to left
-    in a pairwise tree, projecting any product whose orthogonality defect
-    exceeds 1e-12 back onto SO(3).  The result matches the step-by-step
-    composition of the per-call functions to roundoff (see
+    in a pairwise tree, and ``so3.compose`` checks drift once per block as
+    it folds the block's product onto the attitude.  The result matches the
+    step-by-step composition of the per-call functions to roundoff (see
     ``tests/test_batch.py``), and equals the same cell of ``run_sweep`` bit
-    for bit.
+    for bit.  Raises ``ConfigError``, before any work, on a cell above the
+    work bounds of a sweep cell (``_check_cell``).
     """
-    return _propagate(method, signal, dt, _step_count(dt, horizon),
-                      jacobian_mode, {})
+    n = _step_count(dt, horizon)
+    _check_cell(method, signal, dt, n)
+    return _propagate(method, signal, dt, n, jacobian_mode, {})
+
+
+def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
+    """Raise ``ConfigError`` if ``n`` steps of ``dt`` take more than
+    ``MAX_CELL_STEPS`` sensor intervals or, for an increment method, an
+    increment more than ``MAX_SUBSTEPS`` quadrature panels."""
+    minor = method.minor_steps or 1
+    if n * minor > MAX_CELL_STEPS:
+        raise ConfigError(
+            f"{method.label()} at dt={dt!r} needs {n * minor} sensor "
+            f"intervals, above the per-cell cap of {MAX_CELL_STEPS}")
+    if not method.uses_rate_samples:
+        panels = default_panels(signal, dt / minor)
+        if panels > MAX_SUBSTEPS:
+            raise ConfigError(
+                f"{method.label()} at dt={dt!r} needs {panels:.3g} "
+                f"quadrature panels per increment, above the budget of "
+                f"{MAX_SUBSTEPS}")
 
 
 def _grid_key(method: MethodId, dt: float, n: int):
@@ -289,19 +310,9 @@ def validate_config(cfg: SweepConfig) -> None:
             f"{cfg.tolerance!r}")
     signal = preset(cfg.signal)
     for method in cfg.methods:
-        intervals = steps[-1] * (method.minor_steps or 1)
-        if intervals > MAX_CELL_STEPS:
-            raise ConfigError(
-                f"{method.label()} at dt={cfg.step_sizes[-1]!r} needs "
-                f"{intervals} sensor intervals, above the per-cell cap of "
-                f"{MAX_CELL_STEPS}")
-        panels = default_panels(
-            signal, cfg.step_sizes[0] / (method.minor_steps or 1))
-        if not method.uses_rate_samples and panels > MAX_SUBSTEPS:
-            raise ConfigError(
-                f"{method.label()} at dt={cfg.step_sizes[0]!r} needs "
-                f"{panels:.3g} quadrature panels per increment, above the "
-                f"budget of {MAX_SUBSTEPS}")
+        # The finest step has the most intervals, the coarsest the most panels.
+        _check_cell(method, signal, cfg.step_sizes[-1], steps[-1])
+        _check_cell(method, signal, cfg.step_sizes[0], steps[0])
     if exact_attitude(signal, 0.0) is None:
         start = reference_substeps(signal, 0.0, cfg.horizon)
         if start > MAX_SUBSTEPS:

@@ -24,20 +24,9 @@ from .rate_model import MeasurementWindow
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4, validate_tableau)
 
-_PLAIN_METHODS = {
-    "fwdeuler": MethodKind.FWD_EULER_OMEGA,
-    "exmid": MethodKind.EXPLICIT_MIDPOINT_OMEGA,
-    "rk3omega": MethodKind.RK3_OMEGA,
-    "rk4omega": MethodKind.RK4_OMEGA,
-    "theta2": MethodKind.SINGLE_SPEED_THETA2,
-    "theta3": MethodKind.SINGLE_SPEED_THETA3,
-    "rk4theta2": MethodKind.RK4_THETA2,
-}
-
-_METHOD_HELP = ", ".join(sorted(_PLAIN_METHODS) + ["twospeed<m>"])
-
-_JACOBIAN_MODES = {"exact": JacobianMode.EXACT_CLOSED_FORM,
-                   "approx": JacobianMode.THIRD_ORDER_APPROX}
+_METHOD_HELP = ", ".join(
+    sorted(kind.value for kind in MethodKind
+           if kind is not MethodKind.TWO_SPEED_CLASSIC) + ["twospeed<m>"])
 
 _TABLEAUX = (("forward-euler", tableau_forward_euler),
              ("explicit-midpoint", tableau_explicit_midpoint),
@@ -48,13 +37,16 @@ _TABLEAUX = (("forward-euler", tableau_forward_euler),
 def parse_method(name: str) -> MethodId:
     """Parse a method token; raises ``ConfigError`` listing valid names."""
     token = name.strip().lower()
-    if token in _PLAIN_METHODS:
-        return MethodId(_PLAIN_METHODS[token])
     two_speed = re.fullmatch(r"twospeed(\d+)", token)
     if two_speed:
         return MethodId(MethodKind.TWO_SPEED_CLASSIC, int(two_speed.group(1)))
-    raise ConfigError(
-        f"unknown method {name!r}; valid methods: {_METHOD_HELP}")
+    try:
+        # Bare "twospeed" names a kind but no minor-step count.
+        return MethodId(MethodKind(token))
+    except (ValueError, ConfigError):
+        raise ConfigError(
+            f"unknown method {name!r}; valid methods: {_METHOD_HELP}"
+        ) from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -122,10 +114,12 @@ def _build_sweep_config(args) -> tuple[SweepConfig, str, str]:
         step_sizes = tuple(dt_max * 2.0 ** -k for k in range(halvings + 1))
 
     mode_name = str(pick("jacobian_mode", "exact")).lower()
-    if mode_name not in _JACOBIAN_MODES:
+    try:
+        jacobian_mode = JacobianMode(mode_name)
+    except ValueError:
         raise ConfigError(
             f"unknown jacobian_mode {mode_name!r}; valid modes: "
-            f"{', '.join(sorted(_JACOBIAN_MODES))}")
+            f"{', '.join(sorted(m.value for m in JacobianMode))}") from None
 
     out_format = str(pick("format", "csv")).lower()
     if out_format not in ("csv", "tsv"):
@@ -138,7 +132,7 @@ def _build_sweep_config(args) -> tuple[SweepConfig, str, str]:
                       horizon=_as_float("horizon", pick("horizon", 4.0)),
                       tolerance=_as_float("tolerance",
                                           pick("tolerance", 1e-12)),
-                      jacobian_mode=_JACOBIAN_MODES[mode_name])
+                      jacobian_mode=jacobian_mode)
     return cfg, str(pick("output", "-")), out_format
 
 

@@ -156,14 +156,16 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
     be a real measurement, since fabricating it degrades the 1/12 term to
     first order.  (The running-sum term is insensitive to whether the
     current increment is included: its self-cross vanishes.)  With m = 1
-    this is exactly the single-speed correction.  The increments and
-    ``dtheta_before_first`` are numpy arrays of shape (3,).
+    this is exactly the single-speed correction.  ``increments`` is a
+    sequence of m rows and each row, like ``dtheta_before_first``, any
+    sequence of three numbers (a numpy array of shape (3,) or a list).
     """
     if len(increments) == 0:
         raise EmptyWindow("two-speed correction needs at least one increment")
-    px, py, pz = dtheta_before_first.tolist()
-    return np.array(_two_speed_phi([d.tolist() for d in increments],
-                                   px, py, pz))
+    b = dtheta_before_first
+    return np.array(_two_speed_phi(
+        [(float(d[0]), float(d[1]), float(d[2])) for d in increments],
+        float(b[0]), float(b[1]), float(b[2])))
 
 
 def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,

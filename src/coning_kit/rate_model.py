@@ -69,7 +69,8 @@ class RatePolynomial:
     """Angular-rate model ``omega(t) = sum_i coeffs[i] * (t - origin)**i``.
 
     ``coeffs`` is a (Q, 3) array ordered by increasing power (row 0 is the
-    constant term); it is copied and frozen.
+    constant term); it is copied and frozen.  The coefficients and the
+    origin must be finite (``ValueError`` otherwise).
     """
 
     coeffs: np.ndarray
@@ -79,6 +80,8 @@ class RatePolynomial:
         co = np.array(self.coeffs, dtype=float)
         if co.ndim != 2 or co.shape[1] != 3 or co.shape[0] < 1:
             raise ValueError(f"coeffs must have shape (Q >= 1, 3), got {co.shape}")
+        if not (np.isfinite(co).all() and math.isfinite(self.origin)):
+            raise ValueError("coefficients and origin must be finite")
         co.setflags(write=False)
         object.__setattr__(self, "coeffs", co)
 

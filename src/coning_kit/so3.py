@@ -35,6 +35,10 @@ NEAR_PI_MARGIN = 1e-6
 #: while staying clear of the 0/0 axis extraction.
 SMALL_ANGLE = 1e-4
 
+#: Orthogonality defect above which ``compose`` projects its product onto
+#: SO(3): the package's only drift rule, applied by the engine once per block.
+DRIFT_TOL = 1e-12
+
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors (scalar path, faster than np.cross)."""
@@ -132,13 +136,13 @@ def compose(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """Product ``t2 @ t1`` (applied right to left), with drift control.
 
     The result is re-orthonormalized unless its orthogonality defect is at
-    most 1e-12, so long chains of products stay on the manifold.  A product
-    with a NaN or infinite entry has a NaN or infinite defect and is
+    most ``DRIFT_TOL``, so long chains of products stay on the manifold.  A
+    product with a NaN or infinite entry has a NaN or infinite defect and is
     therefore passed to ``orthonormalize``, which raises
     ``NotNearOrthogonal``.
     """
     t = np.asarray(t2) @ np.asarray(t1)
-    if not orthogonality_defect(t) <= 1e-12:
+    if not orthogonality_defect(t) <= DRIFT_TOL:
         t = orthonormalize(t)
     return t
 

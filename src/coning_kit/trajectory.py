@@ -301,15 +301,15 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     exact Jacobian, re-zeroing the rotation vector each substep and
     composing the per-substep DCMs.  Each refinement runs on the array
     engine of ``bench.propagate``: substep rotation vectors in blocks, DCMs
-    multiplied in a pairwise tree, and any product whose orthogonality
-    defect exceeds 1e-12 projected back onto SO(3).  The substep is halved
-    until successive refinements agree to within ``tol`` (rad).  No
-    refinement may use more than ``MAX_SUBSTEPS`` substeps: raises
-    ``NoConvergence`` when the next one would, without starting it, and
-    ``ValueError`` unless ``tol >= 1e-13`` (NaN included).  The returned
-    matrix is the rotation relative to the attitude at ``t0`` (identity
-    initial condition).  Raises ``ValueError`` unless ``t1 > t0`` and the
-    width ``t1 - t0`` is finite.
+    multiplied in a pairwise tree, and drift checked once per block by
+    ``so3.compose`` as it folds the block's product onto the attitude.  The
+    substep is halved until successive refinements agree to within ``tol``
+    (rad).  No refinement may use more than ``MAX_SUBSTEPS`` substeps:
+    raises ``NoConvergence`` when the next one would, without starting it,
+    and ``ValueError`` unless ``tol >= 1e-13`` (NaN included).  The
+    returned matrix is the rotation relative to the attitude at ``t0``
+    (identity initial condition).  Raises ``ValueError`` unless ``t1 > t0``
+    and the width ``t1 - t0`` is finite.
     """
     _check_interval(t0, t1)
     if not tol >= 1e-13:

@@ -41,8 +41,9 @@ from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
 from coning_kit.rk import (integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint,
                            tableau_forward_euler, tableau_rk3, tableau_rk4)
-from coning_kit.so3 import (SMALL_ANGLE, attitude_error_angle, compose,
-                            dcm_from_rotation_vector, wedge)
+from coning_kit.so3 import (DRIFT_TOL, SMALL_ANGLE, attitude_error_angle,
+                            compose, dcm_from_rotation_vector,
+                            orthogonality_defect, wedge)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
                                    PolynomialRate, omega_at, preset,
                                    synth_delta_theta)
@@ -433,15 +434,20 @@ class TestCorrections:
 
 @pytest.mark.parametrize("kind", [MethodKind.RK4_THETA2,
                                   MethodKind.SINGLE_SPEED_THETA3])
-def test_non_finite_increments_refused_like_measurement_window(kind):
-    # A constant infinite rate: every increment is +inf.
-    signal = PolynomialRate(RatePolynomial(np.array([[np.inf, 0.0, 0.0]])))
+def test_non_finite_increments_refused_like_measurement_window(
+        kind, monkeypatch):
+    # No signal gives infinite increments (RatePolynomial refuses infinite
+    # coefficients), so the synthesis the engine calls returns them.
     with pytest.raises(ValueError, match="finite"):
-        MeasurementWindow(np.stack([synth_delta_theta(signal, -0.25, 0.0),
-                                    synth_delta_theta(signal, 0.0, 0.25)]),
+        MeasurementWindow(np.array([[np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0]]),
                           0.25)
+
+    def infinite(signal, t0, t1):
+        return np.full((t0.size, 3), np.inf)
+
+    monkeypatch.setattr(_batch, "synth_many", infinite)
     with pytest.raises(ValueError, match="finite"):
-        propagate(MethodId(kind), signal, 0.25, 1.0)
+        propagate(MethodId(kind), preset("poly3"), 0.25, 1.0)
 
 
 class TestComposer:
@@ -484,12 +490,16 @@ class TestComposer:
             assert attitude_error_angle(got, want) <= CHAIN_TOL * n
 
     def test_drift_is_projected(self):
-        # Scaled by 1 + 1e-9, each factor's defect exceeds the threshold;
-        # every product the tree forms is projected back onto SO(3).
+        # Scaled by 1 + 1e-9, each factor's defect exceeds the threshold.
+        # The tree leaves the block's product as it is; the fold projects it
+        # back onto SO(3).
         rng = np.random.default_rng(606)
         mats = _batch.dcm_many(random_rotation_vectors(rng, 8, 0.3))
-        got = _batch.chain_product(mats * (1.0 + 1e-9))
-        assert np.linalg.norm(got.T @ got - np.eye(3)) <= _batch.DRIFT_TOL
+        block = _batch.chain_product(mats * (1.0 + 1e-9))
+        assert orthogonality_defect(block) > DRIFT_TOL
+        got = compose(block, np.eye(3))
+        assert orthogonality_defect(got) <= DRIFT_TOL
+        assert attitude_error_angle(got, _batch.chain_product(mats)) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_not_near_orthogonal_raised_like_compose(self, n):
@@ -508,7 +518,24 @@ class TestComposer:
         mats = _batch.dcm_many(random_rotation_vectors(rng, n, 0.3))
         mats[n - 1, 1, 1] = np.nan
         with pytest.raises(NotNearOrthogonal):
-            _batch.chain_product(mats)
+            compose(_batch.chain_product(mats), np.eye(3))
+        # Through the composer: a NaN rotation vector in the second block.
+        dphi = random_rotation_vectors(rng, 2 * n, 0.3)
+        dphi[n + 1, 0] = np.nan
+        with pytest.raises(NotNearOrthogonal):
+            _batch.compose_steps(lambda k0, k1: dphi[k0:k1], 2 * n, n)
+
+    @given(seed=seeds, max_angle=st.sampled_from([1e-6, 1e-3, 0.3, 3.1]))
+    @settings(max_examples=25, deadline=None)
+    def test_block_product_stays_inside_the_drift_rule(self, seed,
+                                                       max_angle):
+        # The tree has no drift control of its own: a full block's product
+        # must stay an order of magnitude inside the tolerance of the fold.
+        rng = np.random.default_rng(seed)
+        phi = random_rotation_vectors(rng, _batch.BLOCK, max_angle)
+        mats = _batch.dcm_many(phi)
+        assert orthogonality_defect(_batch.chain_product(mats)) <= \
+            DRIFT_TOL / 10
 
 
 class TestAgainstNumpy:

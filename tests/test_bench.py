@@ -104,6 +104,27 @@ class TestPropagate:
         with pytest.raises(ConfigError):
             propagate(MethodId(MethodKind.RK4_OMEGA), signal, 0.3, 1.0)
 
+    @pytest.mark.parametrize("method, signal, dt, horizon, named", [
+        (MethodId(MethodKind.SINGLE_SPEED_THETA2), "coning", 1e6, 1e6,
+         "panels"),
+        (MethodId(MethodKind.FWD_EULER_OMEGA), "fourier3", 2.0 ** -21, 1.0,
+         "cap"),
+        (MethodId(MethodKind.TWO_SPEED_CLASSIC, 4), "poly3", 2.0 ** -19,
+         1.0, "twospeed4"),
+    ], ids=["panels", "steps", "two-speed-intervals"])
+    def test_applies_the_sweep_cell_bounds(self, method, signal, dt,
+                                           horizon, named, monkeypatch):
+        # 3.2e6 quadrature panels per increment, 2^21 steps and 2^21
+        # sensor intervals once ran unbounded here: no grid or composer
+        # may start.
+        def no_work(*args, **kwargs):
+            raise AssertionError("propagation started")
+
+        monkeypatch.setattr(bench._batch, "IncrementGrid", no_work)
+        monkeypatch.setattr(bench._batch, "compose_steps", no_work)
+        with pytest.raises(ConfigError, match=named):
+            propagate(method, preset(signal), dt, horizon)
+
 
 class TestValidateConfig:
     def good(self):

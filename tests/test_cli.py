@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from coning_kit import bench
-from coning_kit.bench import MethodKind
+from coning_kit.bench import MethodId, MethodKind
 from coning_kit.cli import parse_method, run_cli
 from coning_kit.errors import ConfigError
 
@@ -27,10 +27,18 @@ class TestParseMethod:
         assert method.minor_steps == 8
 
     def test_unknown_name_lists_valid_options(self):
-        with pytest.raises(ConfigError) as info:
-            parse_method("rk9")
-        assert "rk4omega" in str(info.value)
-        assert "twospeed" in str(info.value)
+        # Bare "twospeed" names a method kind but no minor-step count.
+        for name in ("rk9", "twospeed", "TwoSpeed "):
+            with pytest.raises(ConfigError, match="unknown method") as info:
+                parse_method(name)
+            for kind in MethodKind:
+                assert kind.value in str(info.value)
+            assert "twospeed<m>" in str(info.value)
+
+    def test_every_plain_kind_parses(self):
+        for kind in MethodKind:
+            if kind is not MethodKind.TWO_SPEED_CLASSIC:
+                assert parse_method(kind.value.upper()) == MethodId(kind)
 
 
 class TestTableauxCommand:
@@ -100,6 +108,18 @@ class TestSweepCommand:
             # repr round-trip: the printed value parses back exactly
             assert repr(float(row[2])) == row[2]
             assert repr(float(row[4])) == row[4]
+
+    def test_jacobian_mode_names(self, tmp_path, capsys):
+        out, args = sweep_args(tmp_path)
+        assert run_cli(args + ["--jacobian-mode", "Approx"]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert {r[1] for r in rows if r[0] == "rk4omega"} == {"approx"}
+        capsys.readouterr()
+        assert run_cli(args + ["--jacobian-mode", "warp"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown jacobian_mode 'warp'" in err
+        assert "valid modes: approx, exact" in err
 
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         assert run_cli(["sweep", "--methods", "rk9",

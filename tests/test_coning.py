@@ -218,6 +218,17 @@ class TestTwoSpeedClassic:
         with pytest.raises(EmptyWindow):
             two_speed_classic([], np.zeros(3))
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_lists_and_arrays_give_equal_results(self, m):
+        # A list row once raised AttributeError.
+        rng = np.random.default_rng(511)
+        incs = rng.uniform(-1.0, 1.0, (m, 3))
+        before = rng.uniform(-1.0, 1.0, 3)
+        want = two_speed_classic(list(incs), before)
+        for rows, first in ((incs.tolist(), before.tolist()),
+                            (incs, before), (list(incs), tuple(before))):
+            assert np.array_equal(two_speed_classic(rows, first), want)
+
 
 class TestGoodmanRobinsonQuadrature:
     def test_constant_rate_vanishes(self):

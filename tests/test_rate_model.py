@@ -72,6 +72,15 @@ def test_rate_polynomial_leaves_caller_array_writable():
     assert not model.coeffs.flags.writeable
 
 
+@pytest.mark.parametrize("coeffs, origin", [
+    ([[np.nan, 0.0, 0.0]], 0.0), ([[np.inf, 0.0, 0.0]], 0.0),
+    ([[0.1, 0.2, 0.3], [0.0, -np.inf, 0.0]], 0.0),
+    ([[0.1, 0.2, 0.3]], np.nan), ([[0.1, 0.2, 0.3]], -np.inf)])
+def test_rate_polynomial_rejects_non_finite(coeffs, origin):
+    with pytest.raises(ValueError, match="finite"):
+        RatePolynomial(np.array(coeffs), origin)
+
+
 class TestFitAffine:
     def test_constant_rate(self):
         inc = np.array([0.4, 0.0, 0.0])
