@@ -8,9 +8,11 @@ rotation vectors are independent of one another.  A *producer* returns the
   the signal's rate at the stage times (``rk.integrate_attitude_step``);
 - ``miller_steps``, ``rk4_theta2_steps``, ``rk4_theta3_steps`` and
   ``two_speed_steps`` read their increments from an ``IncrementGrid``,
-  which synthesizes each sensor interval once by interval quadrature
-  (``synth_many``, after ``trajectory.synth_delta_theta``) for all of its
-  readers, and apply one ``coning`` correction.
+  which synthesizes each sensor interval ``[k h, (k + 1) h]`` once by
+  interval quadrature (``synth_many``, after
+  ``trajectory.synth_delta_theta``), and apply one ``coning`` correction.
+  Every increment method reads the grid's own intervals, as a strapdown
+  sensor samples every algorithm's increments on one clock.
 
 Both kinds of producer get their rates from ``omega_many``.  One call takes
 the times of as many quadrature nodes or RK stages as fit in ``BLOCK`` rows,
@@ -269,7 +271,8 @@ class IncrementGrid:
 
     Every increment method reads the sensor output of one interval width:
     the single-speed methods at step size ``dt`` read width ``dt``, the
-    two-speed method reads ``dt / minor``.  A grid synthesizes each interval
+    two-speed method reads ``dt / minor``, minor interval j of step k being
+    the grid's interval ``k minor + j``.  A grid synthesizes each interval
     of its width once, and every reader takes its increments from it.  It is
     filled in chunks of at most ``BLOCK + 2`` intervals, so no
     ``omega_many`` call grows with the grid; synthesis is row-wise, so the
@@ -277,7 +280,6 @@ class IncrementGrid:
     """
 
     def __init__(self, signal, h: float, n: int):
-        self.signal = signal
         self.h = h
         k = np.arange(-1, n + 1, dtype=float)
         parts = [k[i:i + BLOCK + 2] for i in range(0, k.size, BLOCK + 2)]
@@ -287,20 +289,6 @@ class IncrementGrid:
     def span(self, first: int, last: int) -> np.ndarray:
         """Increments of the grid's intervals k = first..last-1."""
         return self.values[first + 1:last + 1]
-
-    def take(self, k: np.ndarray, t0: np.ndarray,
-             t1: np.ndarray) -> np.ndarray:
-        """Increments over ``[t0[i], t1[i]]``, meant as grid interval ``k[i]``.
-
-        An interval comes from the grid only where both of its endpoints
-        equal the grid interval's bit for bit; the others are synthesized.
-        """
-        out = self.values[k + 1]
-        kf = k.astype(float)
-        miss = (t0 != kf * self.h) | (t1 != (kf + 1.0) * self.h)
-        if miss.any():
-            out[miss] = synth_many(self.signal, t0[miss], t1[miss])
-        return out
 
 
 def _windowed(increments: np.ndarray) -> np.ndarray:
@@ -330,29 +318,12 @@ def rk4_theta3_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
     return rk4_theta3(inc[:-2], inc[1:-1], inc[2:])
 
 
-def two_speed_steps(grid: IncrementGrid, dt: float, minor: int, k0: int,
+def two_speed_steps(grid: IncrementGrid, minor: int, k0: int,
                     k1: int) -> np.ndarray:
     """Two-speed rotation vectors of steps k0..k1-1, ``minor`` increments
-    each, with the interval times of the scalar loop.
-
-    Minor interval j of step k is interval ``k minor + j`` of ``grid``,
-    whose width is ``dt / minor``; it is taken from the grid where its
-    times equal the grid's.
-    """
-    sub = dt / minor
-    start = np.arange(k0, k1, dtype=float)[:, None] * dt
-    j = np.arange(minor, dtype=float)
-    if k0 == 0:
-        first = (-sub, 0.0)
-    else:
-        last_start = (k0 - 1) * dt
-        first = (last_start + (minor - 1) * sub, last_start + minor * sub)
-    inc = grid.take(np.arange(k0 * minor - 1, k1 * minor),
-                    np.append(first[0], start + j * sub),
-                    np.append(first[1], start + (j + 1.0) * sub))
-    windows = inc[1:].reshape(k1 - k0, minor, 3)
-    before = np.concatenate([inc[:1], windows[:-1, -1]])
-    return two_speed(windows, before)
+    each; minor interval j of step k is the grid's interval k minor + j."""
+    inc = grid.span(k0 * minor - 1, k1 * minor)
+    return two_speed(inc[1:].reshape(k1 - k0, minor, 3), inc[:-1:minor])
 
 
 # ------------------------------------------------------------ composer

@@ -18,7 +18,10 @@ attitude by ``so3.compose``: a product whose orthogonality defect exceeds
 which samples each integrated-rate increment once and gives it to every
 algorithm, a sweep synthesizes each distinct sensor interval once: the
 increment methods share one grid of increments per interval width, and a
-shared increment is bitwise the one a cell would synthesize alone.  The
+shared increment is bitwise the one a cell would synthesize alone.  A
+two-speed cell of m minor steps reads minor interval j of step k as the
+grid's interval ``[(k m + j) h, (k m + j + 1) h]``, h = dt / m, whose
+endpoints are at most one rounding from ``k dt + j h``.  The
 engine groups the floating-point work differently from a step-by-step loop
 over the per-call functions, so a recorded error may move in its last
 digits; the tests hold every record of the default sweeps to 1e-6 relative,
@@ -100,10 +103,11 @@ class MethodId:
 
     def __post_init__(self):
         if self.kind is MethodKind.TWO_SPEED_CLASSIC:
-            if self.minor_steps is None or self.minor_steps < 1:
+            if not (isinstance(self.minor_steps, int)
+                    and self.minor_steps >= 1):
                 raise ConfigError(
-                    "two-speed method needs minor_steps >= 1, got "
-                    f"{self.minor_steps!r}")
+                    "two-speed method needs an integer minor_steps >= 1, "
+                    f"got {self.minor_steps!r}")
         elif self.minor_steps is not None:
             raise ConfigError(
                 "minor_steps only applies to the two-speed method")
@@ -246,7 +250,7 @@ def _propagate(method: MethodId, signal, dt: float, n: int,
     if key not in grids:
         grids[key] = _batch.IncrementGrid(signal, *key)
     if method.kind is MethodKind.TWO_SPEED_CLASSIC:
-        produce = partial(_batch.two_speed_steps, grids[key], dt,
+        produce = partial(_batch.two_speed_steps, grids[key],
                           method.minor_steps)
         block = max(1, block // method.minor_steps)
     else:

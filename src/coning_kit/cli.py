@@ -89,11 +89,6 @@ def _build_sweep_config(args) -> tuple[SweepConfig, str, str]:
         return default
 
     signal = str(pick("signal", "coning"))
-    if signal not in trajectory.PRESET_NAMES:
-        raise ConfigError(
-            f"unknown signal {signal!r}; valid signals: "
-            f"{', '.join(trajectory.PRESET_NAMES)}")
-
     methods_raw = pick("methods", "fwdeuler,exmid,rk3omega,rk4omega,"
                                   "theta2,theta3")
     methods = tuple(parse_method(tok) for tok in
@@ -109,8 +104,13 @@ def _build_sweep_config(args) -> tuple[SweepConfig, str, str]:
     else:
         dt_max = _as_float("dt_max", pick("dt_max", 0.25))
         halvings = _as_int("halvings", pick("halvings", 6))
-        if halvings < 0:
-            raise ConfigError(f"halvings must be >= 0, got {halvings}")
+        # The finest step size takes 2**halvings times the coarsest's steps,
+        # at least one: bound that by the cap before building step sizes.
+        most = bench.MAX_CELL_STEPS.bit_length() - 1
+        if not 0 <= halvings <= most:
+            raise ConfigError(
+                f"halvings must be in 0..{most}, the per-cell cap of "
+                f"{bench.MAX_CELL_STEPS} sensor intervals; got {halvings}")
         step_sizes = tuple(dt_max * 2.0 ** -k for k in range(halvings + 1))
 
     mode_name = str(pick("jacobian_mode", "exact")).lower()

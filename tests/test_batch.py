@@ -256,34 +256,6 @@ class TestIncrementGrid:
         assert np.array_equal(grid.values, want)
         assert np.array_equal(grid.span(-1, n + 1), want)
 
-    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
-    def test_take_synthesizes_exactly_the_unequal_intervals(self, kind,
-                                                            monkeypatch):
-        rng = np.random.default_rng(608)
-        signal = random_signal(rng, kind)
-        h, n = 0.1, 12
-        grid = _batch.IncrementGrid(signal, h, n)
-        k = np.arange(-1, n)
-        t0, t1 = k * h, (k + 1.0) * h
-        t0[[2, 7]] = np.nextafter(t0[[2, 7]], np.inf)
-        t1[5] = np.nextafter(t1[5], -np.inf)
-        asked = []
-        synth_many = _batch.synth_many
-
-        def counted(sig, a, b):
-            asked.append((a.copy(), b.copy()))
-            return synth_many(sig, a, b)
-
-        monkeypatch.setattr(_batch, "synth_many", counted)
-        got = grid.take(k, t0, t1)
-        assert len(asked) == 1
-        assert np.array_equal(asked[0][0], t0[[2, 5, 7]])
-        assert np.array_equal(got, synth_many(signal, t0, t1))
-        # The grid itself is left as it was.
-        assert np.array_equal(grid.values[k + 1][[2, 5, 7]],
-                              synth_many(signal, k[[2, 5, 7]] * h,
-                                         (k[[2, 5, 7]] + 1.0) * h))
-
 
 class TestRateSteps:
     @pytest.mark.parametrize("mode", list(JacobianMode))
@@ -394,8 +366,8 @@ class TestCorrections:
         signal = random_signal(rng, kind)
         dt, minor, k0, k1 = 0.1, 3, 3, 10
 
-        def inc(k):
-            return synth_delta_theta(signal, k * dt, (k + 1) * dt)
+        def inc(k, h=dt):
+            return synth_delta_theta(signal, k * h, (k + 1) * h)
 
         want = []
         for k in range(k0, k1):
@@ -409,19 +381,15 @@ class TestCorrections:
                     np.stack([inc(k - 1), inc(k), inc(k + 1)]), dt)
                 want.append(rk4_theta3(window).delta_phi)
             else:
+                # Minor interval j of step k is interval k minor + j of
+                # width dt / minor, at the grid's times.
                 sub = dt / minor
-                prev = (k - 1) * dt
-                before = synth_delta_theta(signal, prev + (minor - 1) * sub,
-                                           prev + minor * sub)
                 want.append(two_speed_classic(
-                    [synth_delta_theta(signal, k * dt + j * sub,
-                                       k * dt + (j + 1) * sub)
-                     for j in range(minor)], before))
-        # At dt = 0.1 some two-speed times differ from the grid's k * dt / 3
-        # in the last bit: those intervals are synthesized, not taken.
+                    [inc(k * minor + j, sub) for j in range(minor)],
+                    inc(k * minor - 1, sub)))
         if name == "two_speed":
             grid = _batch.IncrementGrid(signal, dt / minor, k1 * minor)
-            got = _batch.two_speed_steps(grid, dt, minor, k0, k1)
+            got = _batch.two_speed_steps(grid, minor, k0, k1)
         else:
             grid = _batch.IncrementGrid(signal, dt, k1)
             got = getattr(_batch, f"{name}_steps")(grid, k0, k1)
@@ -430,6 +398,35 @@ class TestCorrections:
                 assert np.array_equal(g, w)
             else:
                 assert_rows_close(g, w)
+
+
+@pytest.mark.parametrize("minor", [3, 5, 7])
+@pytest.mark.parametrize("dt", [0.1, 0.05])
+@pytest.mark.parametrize("name", ["poly3", "fourier3", "coning"])
+def test_two_speed_within_a_rounding_of_the_scalar_loop_times(name, dt,
+                                                              minor):
+    # At these step sizes k dt + j dt / m and the grid's (k m + j) dt / m
+    # differ in the last bit for some intervals.  Moving an endpoint by one
+    # rounding stays inside the chain tolerance of a per-call loop on the
+    # k dt + j dt / m times.
+    signal, horizon = preset(name), 3.0
+    n = round(horizon / dt)
+    sub = dt / minor
+
+    def inc(t0, t1):
+        return synth_delta_theta(signal, t0, t1)
+
+    want = np.eye(3)
+    before = inc(-sub, 0.0)
+    for k in range(n):
+        window = [inc(k * dt + j * sub, k * dt + (j + 1) * sub)
+                  for j in range(minor)]
+        dphi = two_speed_classic(window, before)
+        want = compose(dcm_from_rotation_vector(dphi), want)
+        before = window[-1]
+    got = propagate(MethodId(MethodKind.TWO_SPEED_CLASSIC, minor), signal,
+                    dt, horizon)
+    assert attitude_error_angle(got, want) <= CHAIN_TOL * n
 
 
 @pytest.mark.parametrize("kind", [MethodKind.RK4_THETA2,

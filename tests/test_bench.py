@@ -34,6 +34,8 @@ class TestMethodId:
             MethodId(MethodKind.TWO_SPEED_CLASSIC)
         with pytest.raises(ConfigError):
             MethodId(MethodKind.TWO_SPEED_CLASSIC, 0)
+        with pytest.raises(ConfigError):
+            MethodId(MethodKind.TWO_SPEED_CLASSIC, 2.5)
 
     def test_minor_steps_rejected_elsewhere(self):
         with pytest.raises(ConfigError):
@@ -293,9 +295,9 @@ class TestRunSweep:
     def test_records_equal_per_cell_propagate(self, signal, methods, dts,
                                               horizon):
         # The sweep shares increments between cells; each record must still
-        # be bit for bit that of the cell propagated on its own.  At the
-        # non-dyadic step sizes some two-speed interval times differ from
-        # the grid's in the last bit and are synthesized separately.
+        # be bit for bit that of the cell propagated on its own.  Every
+        # increment method, two-speed included, reads the grid's intervals,
+        # at the non-dyadic step sizes too.
         cfg = SweepConfig(signal=signal,
                           methods=tuple(parse_method(m)
                                         for m in methods.split(",")),

@@ -144,12 +144,13 @@ class TestSweepCommand:
         (["--horizon", "inf"], "horizon"),
         (["--tolerance", "nan"], "tolerance"),
         (["--halvings", "40"], "cap"),
+        (["--halvings", "1000000"], "halvings"),
         (["--signal", "fourier3", "--horizon", "1000000", "--dt-max", "1",
           "--halvings", "0"], "budget"),
         (["--signal", "coning", "--dts", "1e6,5e5,2.5e5", "--horizon",
           "1e6"], "panels"),
     ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40",
-            "reference-budget", "panel-budget"])
+            "halvings-1e6", "reference-budget", "panel-budget"])
     def test_unbounded_work_rejected_before_sweeping(self, flags, named,
                                                      tmp_path, monkeypatch,
                                                      capsys):
@@ -157,7 +158,9 @@ class TestSweepCommand:
         # from round(), a NaN tolerance and 40 halvings as a sweep that
         # never ends, a 10^6 s fourier3 horizon as a step-doubled reference
         # that starts at 2.2e6 substeps, 10^6 s coning increments as 3.2e6
-        # quadrature panels each.  None may start any propagation.
+        # quadrature panels each, 10^6 halvings as 10^6 step sizes built and
+        # echoed in a 5 MB message.  None may start any propagation, and
+        # the message stays short.
         def no_work(*args, **kwargs):
             raise AssertionError("sweep started")
 
@@ -168,6 +171,7 @@ class TestSweepCommand:
                         "--output", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+        assert len(err) < 1024
 
     def test_failed_cell_reported_and_skipped(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

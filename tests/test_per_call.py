@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
@@ -279,6 +279,7 @@ class TestIntegrateAttitudeStep:
     @pytest.mark.parametrize("factory", TABLEAUX)
     @pytest.mark.parametrize("mode", list(JacobianMode))
     @given(seed=seeds)
+    @example(seed=7716374)
     @settings(max_examples=60, deadline=None)
     def test_matches_rk_step_on_bortz_rhs(self, factory, mode, seed):
         rng = np.random.default_rng(seed)
@@ -286,9 +287,19 @@ class TestIntegrateAttitudeStep:
         t_k = rng.uniform(-10.0, 10.0)
         dt = 10.0 ** rng.uniform(-4.0, -0.5)
         sampler = random_sampler(rng, t_k, 10.0 ** rng.uniform(-2.0, 1.0))
-        got = integrate_attitude_step(sampler, t_k, dt, tab, mode)
-        want = bortz_attitude_step(sampler, t_k, dt, tab, mode)
-        assert np.array_equal(got, want)
+        # A large rate can take a stage out of the exact Jacobian's domain
+        # (the explicit example, with rk3); both sides must then raise alike.
+        results = []
+        for step in (integrate_attitude_step, bortz_attitude_step):
+            try:
+                results.append(step(sampler, t_k, dt, tab, mode))
+            except StageEvaluationError as exc:
+                results.append(str(exc))
+        got, want = results
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("factory", TABLEAUX)
     @given(seed=seeds, data=st.data())
