@@ -32,17 +32,17 @@ replaces: the ``coning`` correction kernels, ``so3._dcm_entries``,
 columns here and Python floats there, and IEEE arithmetic rounds each
 element as it rounds the float.  Rows are kept as the transpose of a
 ``(3, n)`` array (``_rows``), so ``rows.T`` hands the kernels contiguous
-columns.  Results still differ from a scalar loop in the last bits where
-numpy's sin and cos and its stacked 3x3 products round differently, and
-the tree groups the product differently.  The scalar functions stay the
-per-call API and are the oracles in ``tests/test_batch.py``, which states
-the tolerance each array function holds.
+columns.  Results differ from a scalar loop in the last bits where numpy's
+sin, cos and stacked 3x3 products round differently, where the cone's
+closed-form rate stands in for ``omega_at``'s inversion of ``jinv``, and
+where the tree regroups the product.  The scalar functions stay the
+per-call API and the oracles in ``tests/test_batch.py``, which states the
+tolerance each array function holds.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,16 +52,11 @@ from .errors import AngleOutOfDomain, StageEvaluationError
 from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
                          _apply_jacobian)
 from .so3 import SMALL_ANGLE, _dcm_entries, compose
-from .trajectory import (_GL_NODES, _GL_WEIGHTS, ConingRotationVector,
-                         _rate_scale, _rate_xyz)
+from .trajectory import _GL_NODES, _GL_WEIGHTS, _rate_scale, _rate_xyz
 
 #: Steps per block; for the two-speed method, sensor intervals per block.
 #: Bounds the engine's working set whatever the step count.
 BLOCK = 2048
-
-# Below this angle the right-Jacobian coefficients come from their Taylor
-# series; (a - sin a) / a^3 loses all digits to cancellation near zero.
-_JACOBIAN_SERIES = 1e-2
 
 
 def _rows(components, n: int) -> np.ndarray:
@@ -74,58 +69,9 @@ def _rows(components, n: int) -> np.ndarray:
 # ------------------------------------------------------------- signals
 
 
-def right_jacobian_coefficients(a):
-    """Coefficients ``(k1, k2)`` of the right Jacobian at angle ``a``.
-
-    ``J = I - k1 [phi x] + k2 [phi x]^2`` with ``a = |phi|``,
-    ``k1 = (1 - cos a)/a^2`` and ``k2 = (a - sin a)/a^3``; ``k1`` is
-    evaluated as ``(sin(a/2)/(a/2))^2 / 2``, which equals it without the
-    cancellation.  ``a`` may be a scalar or an array; the result has its
-    shape.
-    """
-    a = np.asarray(a, dtype=float)
-    a2 = a * a
-    k1 = np.empty_like(a)
-    k2 = np.empty_like(a)
-    small = a < _JACOBIAN_SERIES
-    s = a2[small]
-    k1[small] = 0.5 + s * (-1.0 / 24.0 + s / 720.0)
-    k2[small] = 1.0 / 6.0 + s * (-1.0 / 120.0 + s / 5040.0)
-    big = ~small
-    ab, half = a[big], 0.5 * a[big]
-    k1[big] = 0.5 * (np.sin(half) / half) ** 2
-    k2[big] = (ab - np.sin(ab)) / (ab * a2[big])
-    return k1, k2
-
-
-def right_jacobian_apply(k1, k2, phi: np.ndarray,
-                         v: np.ndarray) -> np.ndarray:
-    """Rows of ``kinematics.forward_jacobian(phi) @ v``, in closed form.
-
-    ``J = I - k1 [phi x] + k2 [phi x]^2``, where ``k1`` and ``k2`` are the
-    ``right_jacobian_coefficients`` of ``|phi|``: scalars, or (n,) columns.
-    No domain check: the coning signal keeps ``|phi|`` below pi/2.
-    """
-    return _rows(_apply_jacobian(*phi.T, *v.T, -k1, k2, 1.0), phi.shape[0])
-
-
-@lru_cache(maxsize=8)
-def _cone_coefficients(cone_angle: float) -> tuple[float, float]:
-    return tuple(float(k) for k in right_jacobian_coefficients(cone_angle))
-
-
 def omega_many(signal, t: np.ndarray) -> np.ndarray:
     """``trajectory.omega_at`` at every time of the 1-d array ``t``."""
-    if isinstance(signal, ConingRotationVector):
-        # |phi| is the cone angle at every t: one pair of coefficients,
-        # computed once per cone.
-        a = signal.cone_angle
-        w = signal.precession_rate
-        cw, sw = np.cos(w * t), np.sin(w * t)
-        phi = _rows((a * cw, a * sw, 0.0), t.size)
-        phi_dot = _rows((-a * w * sw, a * w * cw, 0.0), t.size)
-        return right_jacobian_apply(*_cone_coefficients(a), phi, phi_dot)
-    return _rows(_rate_xyz(signal, t, np.sin), t.size)
+    return _rows(_rate_xyz(signal, t, np), t.size)
 
 
 def _per_call(rows: int) -> int:
@@ -224,7 +170,7 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
         else:
             c = 1.0 / 12.0
         stages.append(np.array(_apply_jacobian(
-            px, py, pz, *rates[node_of[nu]], 0.5, c, dt)))
+            px, py, pz, *rates[node_of[nu]], c, dt)))
     bad = ~(angles < MAX_ANGLE)
     if bad.any():
         k = int(np.flatnonzero(bad.any(axis=0))[0])

@@ -103,8 +103,8 @@ class MethodId:
 
     def __post_init__(self):
         if self.kind is MethodKind.TWO_SPEED_CLASSIC:
-            if not (isinstance(self.minor_steps, int)
-                    and self.minor_steps >= 1):
+            m = self.minor_steps
+            if isinstance(m, bool) or not (isinstance(m, int) and m >= 1):
                 raise ConfigError(
                     "two-speed method needs an integer minor_steps >= 1, "
                     f"got {self.minor_steps!r}")
@@ -300,13 +300,15 @@ def validate_config(cfg: SweepConfig) -> None:
         raise ConfigError("step-size list is empty")
     if not math.isfinite(cfg.horizon):
         raise ConfigError(f"horizon must be finite, got {cfg.horizon!r}")
-    if not all(math.isfinite(dt) for dt in cfg.step_sizes):
-        raise ConfigError(f"step sizes must be finite: {cfg.step_sizes}")
-    if any(dt <= 0 for dt in cfg.step_sizes):
-        raise ConfigError(f"step sizes must be positive: {cfg.step_sizes}")
-    if list(cfg.step_sizes) != sorted(set(cfg.step_sizes), reverse=True):
-        raise ConfigError(
-            f"step sizes must be strictly decreasing: {cfg.step_sizes}")
+    dts = cfg.step_sizes
+    for rule, bad in (("finite", lambda i: not math.isfinite(dts[i])),
+                      ("positive", lambda i: dts[i] <= 0),
+                      ("strictly decreasing",
+                       lambda i: i > 0 and dts[i] >= dts[i - 1])):
+        i = next((i for i in range(len(dts)) if bad(i)), None)
+        if i is not None:
+            raise ConfigError(f"step sizes must be {rule}: step size "
+                              f"{i + 1} of {len(dts)} is {dts[i]!r}")
     steps = [_step_count(dt, cfg.horizon) for dt in cfg.step_sizes]
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance >= 1e-13):
         raise ConfigError(

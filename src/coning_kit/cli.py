@@ -63,7 +63,7 @@ def _read_config_file(path: str) -> dict:
                         f"{raw.strip()!r}")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
@@ -100,7 +100,7 @@ def _build_sweep_config(args) -> tuple[SweepConfig, str, str]:
             step_sizes = tuple(float(tok) for tok in
                                str(dts_raw).split(",") if tok.strip())
         except ValueError as exc:
-            raise ConfigError(f"bad dts value {dts_raw!r}: {exc}") from exc
+            raise ConfigError(f"bad dts value: {exc}") from exc
     else:
         dt_max = _as_float("dt_max", pick("dt_max", 0.25))
         halvings = _as_int("halvings", pick("halvings", 6))

@@ -11,6 +11,8 @@ with ``c(a) = (1/a^2) (1 - a sin(a) / (2 (1 - cos(a))))``.  Its arithmetic
 is written once, in ``_apply_jacobian``, for the per-call functions on
 floats and the array engine on columns; the branches of ``c`` stay outside
 it, in ``jinv_coefficient`` and its masked form ``_batch.jinv_coefficients``.
+``forward_jacobian`` inverts ``jinv``.  Only ``trajectory.omega_at`` of the
+cone uses it, as the oracle of the cone's closed-form rate.
 """
 
 from __future__ import annotations
@@ -141,15 +143,14 @@ def bortz_rhs(phi: np.ndarray, omega: np.ndarray,
         c = jinv_coefficient(math.sqrt(px * px + py * py + pz * pz))
     else:
         c = 1.0 / 12.0
-    return np.array(_apply_jacobian(px, py, pz, wx, wy, wz, 0.5, c, 1.0))
+    return np.array(_apply_jacobian(px, py, pz, wx, wy, wz, c, 1.0))
 
 
-def _apply_jacobian(px, py, pz, wx, wy, wz, a, c, dt):
-    """``dt (I + a [phi x] + c [phi x]^2) omega`` on floats or columns.
+def _apply_jacobian(px, py, pz, wx, wy, wz, c, dt):
+    """``dt (I + 1/2 [phi x] + c [phi x]^2) omega`` on floats or columns.
 
-    With ``a = 1/2`` and ``c = jinv_coefficient(|phi|)`` it is a Bortz
-    stage (``bortz_rhs`` passes ``dt = 1.0``, which changes no bit); with
-    ``a = -k1``, ``c = k2`` the array engine's cone rate ``J(phi) omega``.
+    With ``c = jinv_coefficient(|phi|)`` or 1/12 it is a Bortz stage;
+    ``bortz_rhs`` passes ``dt = 1.0``, which changes no bit.
     """
     cx = py * wz - pz * wy
     cy = pz * wx - px * wz
@@ -157,6 +158,6 @@ def _apply_jacobian(px, py, pz, wx, wy, wz, a, c, dt):
     dx = py * cz - pz * cy
     dy = pz * cx - px * cz
     dz = px * cy - py * cx
-    return (dt * (wx + a * cx + c * dx),
-            dt * (wy + a * cy + c * dy),
-            dt * (wz + a * cz + c * dz))
+    return (dt * (wx + 0.5 * cx + c * dx),
+            dt * (wy + 0.5 * cy + c * dy),
+            dt * (wz + 0.5 * cz + c * dz))

@@ -208,7 +208,7 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
                 c = 1.0 / 12.0
         except Exception as exc:
             raise StageEvaluationError(nu, t_nu, str(exc)) from exc
-        stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, 0.5, c, dt))
+        stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, c, dt))
     ox = oy = oz = 0.0
     for l, b_l in weights:
         sx, sy, sz = stages[l]

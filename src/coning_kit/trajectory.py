@@ -5,18 +5,23 @@ Three signal families are available, each evaluable at arbitrary time:
 - ``PolynomialRate``: the rate is a fixed polynomial (degree <= 5).
 - ``FourierRate``: a sum of per-axis sinusoids with positive frequencies.
 - ``ConingRotationVector``: the rotation vector itself traces a cone,
-  ``phi(t) = alpha (cos Wt, sin Wt, 0)``; the rate follows from the forward
-  Jacobian, ``omega = J(phi) @ phi_dot``, which gives this signal a closed
-  form truth attitude ``T(phi(t))`` that no integrator had to produce.
+  ``phi(t) = alpha (cos Wt, sin Wt, 0)``, which gives this signal a closed
+  form truth attitude ``T(phi(t))`` that no integrator had to produce.  Its
+  rate ``omega = J(phi) @ phi_dot`` reduces, because ``phi`` is
+  perpendicular to ``phi_dot`` and ``|phi| = alpha``, to the classical
+  coning rate ``W (-sin(alpha) sin Wt, sin(alpha) cos Wt,
+  -2 sin(alpha/2)^2)``.
 
 Reference attitudes and synthetic increments are deterministic: repeated
 calls with equal inputs return bitwise-identical results.
 
-``omega_at`` and ``synth_delta_theta`` are the per-call path: the rates of
-the polynomial and Fourier signals come from ``_rate_xyz`` on Python
-floats, a kernel ``_batch.omega_many`` also runs on columns.  It keeps the
-operations and their order of the numpy forms that are its oracles in the
-tests, so the per-call results agree with them bit for bit.
+Every signal's rate is written once, in ``_rate_xyz``: on Python floats for
+``synth_delta_theta``, and on columns for the array engine's
+``_batch.omega_many``.  The polynomial and Fourier rates keep the
+operations and their order of the numpy forms that are their oracles in
+the tests, so ``omega_at`` and ``synth_delta_theta`` agree with them bit
+for bit.  ``omega_at`` of the cone does not use the closed form: it inverts
+``kinematics.jinv``, and is the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -103,7 +108,9 @@ class FourierRate:
 
 @dataclass(frozen=True)
 class ConingRotationVector:
-    """Rotation-vector cone ``phi(t) = alpha (cos Wt, sin Wt, 0)``."""
+    """Rotation-vector cone ``phi(t) = alpha (cos Wt, sin Wt, 0)``; its
+    rate's plan ``(W, W sin(alpha), -2 W sin(alpha/2)^2)`` is precomputed as
+    Python floats, with the half angle: ``1 - cos(alpha)`` would cancel."""
 
     cone_angle: float
     precession_rate: float
@@ -116,6 +123,9 @@ class ConingRotationVector:
             raise ValueError(
                 f"precession rate must be positive and finite, got "
                 f"{self.precession_rate!r}")
+        a, w = float(self.cone_angle), float(self.precession_rate)
+        object.__setattr__(self, "_plan", (
+            w, w * math.sin(a), -2.0 * w * math.sin(0.5 * a) ** 2))
 
 
 @dataclass(frozen=True)
@@ -169,18 +179,18 @@ def _coning_phi_and_rate(signal: ConingRotationVector, t: float):
     return phi, phi_dot
 
 
-def _rate_xyz(signal: AnalyticAttitudeSignal, t, sin=math.sin):
+def _rate_xyz(signal: AnalyticAttitudeSignal, t, lib=math):
     """Components ``(wx, wy, wz)`` of ``omega_at(signal, t)``.
 
-    Horner's rule of ``rate_model.eval_rate``, or the Fourier sum term by
-    term: floats for a float ``t``, columns for the array engine's 1-d
-    ``t`` with ``sin=np.sin`` (a constant polynomial gives floats).  The
-    cone's rate is ``omega_at``'s, for a float ``t`` only.
+    Horner's rule of ``rate_model.eval_rate``, the Fourier sum term by term,
+    or the closed-form cone rate: floats for a float ``t``, columns for the
+    array engine's 1-d ``t`` with ``lib=np`` (a constant component stays a
+    float).
     """
     if isinstance(signal, FourierRate):
         wx = wy = wz = 0.0
         for ax, ay, az, freq, phase in signal._plan:
-            s = sin(freq * t + phase)
+            s = lib.sin(freq * t + phase)
             wx = wx + ax * s
             wy = wy + ay * s
             wz = wz + az * s
@@ -194,15 +204,17 @@ def _rate_xyz(signal: AnalyticAttitudeSignal, t, sin=math.sin):
             wz = wz * tau + rz
         return wx, wy, wz
     if isinstance(signal, ConingRotationVector):
-        return omega_at(signal, t).tolist()
+        w, w_sin, wz = signal._plan
+        wt = w * t
+        return -w_sin * lib.sin(wt), w_sin * lib.cos(wt), wz
     raise TypeError(f"unknown signal type {type(signal).__name__}")
 
 
 def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
     """Angular velocity of the signal at time ``t`` (exact closed form)."""
     if isinstance(signal, ConingRotationVector):
-        # The inverse of jinv, kept as the oracle of the array engine's
-        # closed-form cone rate.
+        # The inverse of jinv, kept as the oracle of the closed-form cone
+        # rate of _rate_xyz.
         phi, phi_dot = _coning_phi_and_rate(signal, t)
         return forward_jacobian(phi) @ phi_dot
     return np.array(_rate_xyz(signal, t))

@@ -36,6 +36,8 @@ class TestMethodId:
             MethodId(MethodKind.TWO_SPEED_CLASSIC, 0)
         with pytest.raises(ConfigError):
             MethodId(MethodKind.TWO_SPEED_CLASSIC, 2.5)
+        with pytest.raises(ConfigError):
+            MethodId(MethodKind.TWO_SPEED_CLASSIC, True)
 
     def test_minor_steps_rejected_elsewhere(self):
         with pytest.raises(ConfigError):

@@ -13,6 +13,11 @@ from coning_kit.errors import ConfigError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: Long step-size lists with one bad value, which the error message once
+#: echoed whole.
+_INCREASING_DTS = ",".join(repr((k + 1) * 1e-6) for k in range(100_000))
+_DECREASING_DTS = ",".join(repr(1.0 - k * 1e-6) for k in range(50_000))
+
 
 class TestParseMethod:
     def test_plain_names(self):
@@ -149,8 +154,13 @@ class TestSweepCommand:
           "--halvings", "0"], "budget"),
         (["--signal", "coning", "--dts", "1e6,5e5,2.5e5", "--horizon",
           "1e6"], "panels"),
+        (["--dts", _INCREASING_DTS], "decreasing"),
+        (["--dts", _DECREASING_DTS + ",nan"], "finite"),
+        (["--dts", _DECREASING_DTS + ",-1"], "positive"),
+        (["--dts", _DECREASING_DTS + ",x"], "dts"),
     ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40",
-            "halvings-1e6", "reference-budget", "panel-budget"])
+            "halvings-1e6", "reference-budget", "panel-budget",
+            "dts-increasing", "dts-nan", "dts-negative", "dts-unparsable"])
     def test_unbounded_work_rejected_before_sweeping(self, flags, named,
                                                      tmp_path, monkeypatch,
                                                      capsys):
@@ -159,8 +169,9 @@ class TestSweepCommand:
         # never ends, a 10^6 s fourier3 horizon as a step-doubled reference
         # that starts at 2.2e6 substeps, 10^6 s coning increments as 3.2e6
         # quadrature panels each, 10^6 halvings as 10^6 step sizes built and
-        # echoed in a 5 MB message.  None may start any propagation, and
-        # the message stays short.
+        # echoed in a 5 MB message, 10^5 increasing step sizes echoed in a
+        # 937 KB one, 5 x 10^4 with a bad last value in 250 KB.  None may
+        # start any propagation, and the message stays short.
         def no_work(*args, **kwargs):
             raise AssertionError("sweep started")
 
@@ -227,6 +238,14 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "signl" in err and "signal" in err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        # Byte 0xff once escaped as a UnicodeDecodeError traceback.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"horizon = \xff4\n")
+        assert run_cli(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
 
 
 def _data_columns(path, args):

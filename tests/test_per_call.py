@@ -6,6 +6,9 @@
 Each keeps the operations and their order of the numpy expression it
 replaced, written out here as the oracle, so the two must agree bit for
 bit: ``np.array_equal`` on every returned vector.
+``synth_delta_theta`` of the cone is the exception among the signals: it
+integrates the closed-form cone rate, not ``omega_at``'s inversion of
+``jinv``, so it holds ``ROW_TOL`` relative to ``(t1 - t0) W``.
 ``integrate_attitude_step`` is held to ``rk_step`` on the Bortz right-hand
 side, and ``rk_step`` to its loop over the tableau arrays.
 
@@ -44,6 +47,10 @@ TABLEAUX = (tableau_forward_euler, tableau_explicit_midpoint, tableau_rk3,
             tableau_rk4)
 
 _EYE3 = np.eye(3)
+
+#: Relative bound of one evaluation that rounds differently from its
+#: oracle: a few ulp observed, 1e-14 allowed.
+ROW_TOL = 1e-14
 
 
 def vectors(rng, n):
@@ -447,5 +454,12 @@ class TestSignal:
         t0 = rng.uniform(-20.0, 20.0)
         t1 = t0 + 10.0 ** rng.uniform(-4.0, 0.0)
         quadrature = None if panels is None else QuadratureSpec(panels)
-        assert np.array_equal(synth_delta_theta(signal, t0, t1, quadrature),
-                              np_synth_delta_theta(signal, t0, t1, quadrature))
+        got = synth_delta_theta(signal, t0, t1, quadrature)
+        want = np_synth_delta_theta(signal, t0, t1, quadrature)
+        if kind == "cone":
+            # |omega| = 2 W sin(alpha / 2) is below 1.5 W; 6.6e-16 of this
+            # scale was the largest difference seen over 6,000 draws.
+            scale = (t1 - t0) * signal.precession_rate
+            assert float(np.max(np.abs(got - want))) <= ROW_TOL * scale
+        else:
+            assert np.array_equal(got, want)

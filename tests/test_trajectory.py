@@ -1,9 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coning_kit import trajectory
+from coning_kit import _batch, trajectory
 from coning_kit.coning import affine_coning_oracle
 from coning_kit.errors import NoConvergence
 from coning_kit.kinematics import forward_jacobian, jinv
@@ -19,6 +22,28 @@ from coning_kit.trajectory import (ConingRotationVector, FourierRate,
 
 def make_poly(coeffs):
     return PolynomialRate(RatePolynomial(np.asarray(coeffs, dtype=float)))
+
+
+def cone_rate_40_digits(signal, phase):
+    """``J(phi) phi_dot`` of the cone at the float phase ``W t``, in 40-digit
+    arithmetic, with the right Jacobian ``I - k1 [phi x] + k2 [phi x]^2``."""
+    with mp.workdps(40):
+        a = mp.mpf(signal.cone_angle)
+        w = mp.mpf(signal.precession_rate)
+        c, s = mp.cos(mp.mpf(phase)), mp.sin(mp.mpf(phase))
+        phi = (a * c, a * s, mp.mpf(0))
+        phi_dot = (-a * w * s, a * w * c, mp.mpf(0))
+
+        def cross(u, v):
+            return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                    u[0] * v[1] - u[1] * v[0])
+
+        k1 = (1 - mp.cos(a)) / a ** 2
+        k2 = (a - mp.sin(a)) / a ** 3
+        c1 = cross(phi, phi_dot)
+        c2 = cross(phi, c1)
+        return [float(v - k1 * x + k2 * y)
+                for v, x, y in zip(phi_dot, c1, c2)]
 
 
 class TestSignals:
@@ -133,6 +158,25 @@ class TestOmegaAt:
     def test_unknown_signal_type_rejected(self):
         with pytest.raises(TypeError):
             omega_at(object(), 0.0)
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_cone_rate_matches_40_digit_arithmetic(self, seed):
+        # The closed form on floats and on columns against the right
+        # Jacobian in exact-enough arithmetic, at the phase both compute.
+        rng = np.random.default_rng(seed)
+        signal = ConingRotationVector(rng.uniform(1e-3, 1.5),
+                                      rng.uniform(0.1, 30.0))
+        t = rng.uniform(-20.0, 20.0, 16)
+        want = np.array([
+            cone_rate_40_digits(signal, signal.precession_rate * x)
+            for x in t.tolist()])
+        bound = 1e-15 * float(np.max(np.abs(want)))
+        floats = np.array([trajectory._rate_xyz(signal, x)
+                           for x in t.tolist()])
+        assert float(np.max(np.abs(floats - want))) <= bound
+        columns = _batch.omega_many(signal, t)
+        assert float(np.max(np.abs(columns - want))) <= bound
 
 
 class TestExactAttitude:
