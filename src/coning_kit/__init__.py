@@ -32,7 +32,7 @@ from .so3 import (attitude_error_angle, compose, cross,
                   dcm_from_rotation_vector, orthogonality_defect,
                   orthonormalize, rotation_vector_from_dcm, vee, wedge)
 from .trajectory import (ConingRotationVector, FourierRate, PolynomialRate,
-                         QuadratureSpec, exact_attitude, omega_at, preset,
-                         reference_attitude, synth_delta_theta, PRESET_NAMES)
+                         exact_attitude, omega_at, preset, reference_attitude,
+                         synth_delta_theta, PRESET_NAMES)
 
 __version__ = "0.1.0"

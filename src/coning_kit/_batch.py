@@ -8,16 +8,15 @@ rotation vectors are independent of one another.  A *producer* returns the
   the signal's rate at the stage times (``rk.integrate_attitude_step``);
 - ``miller_steps``, ``rk4_theta2_steps``, ``rk4_theta3_steps`` and
   ``two_speed_steps`` read their increments from an ``IncrementGrid``,
-  which synthesizes each sensor interval ``[k h, (k + 1) h]`` once by
-  interval quadrature (``synth_many``, after
-  ``trajectory.synth_delta_theta``), and apply one ``coning`` correction.
-  Every increment method reads the grid's own intervals, as a strapdown
-  sensor samples every algorithm's increments on one clock.
+  which synthesizes each sensor interval ``[k h, (k + 1) h]`` once
+  (``synth_many``, after ``trajectory.synth_delta_theta``), and apply one
+  ``coning`` correction.  Every increment method reads the grid's own
+  intervals, as a strapdown sensor samples every algorithm's increments on
+  one clock.
 
-Both kinds of producer get their rates from ``omega_many``.  One call takes
-the times of as many quadrature nodes or RK stages as fit in ``BLOCK`` rows,
-and at least one, so no call is larger than one node's times for a block's
-steps or increments.
+``rate_steps`` gets its rates from ``omega_many``.  One call takes the times
+of as many RK stages as fit in ``BLOCK`` rows, and at least one, so no call
+is larger than one stage's times for a block's steps.
 
 ``compose_steps`` is the one composer: it asks a producer for one block of
 ``BLOCK`` steps at a time, turns the rotation vectors into DCMs and
@@ -28,21 +27,20 @@ inside ``so3.DRIFT_TOL``, which ``tests/test_batch.py`` holds it to.
 
 Each array function shares the kernel of the per-call function it
 replaces: the ``coning`` correction kernels, ``so3._dcm_entries``,
-``kinematics._apply_jacobian`` and ``trajectory._rate_xyz`` take (n,)
-columns here and Python floats there, and IEEE arithmetic rounds each
-element as it rounds the float.  Rows are kept as the transpose of a
-``(3, n)`` array (``_rows``), so ``rows.T`` hands the kernels contiguous
-columns.  Results differ from a scalar loop in the last bits where numpy's
-sin, cos and stacked 3x3 products round differently, where the cone's
-closed-form rate stands in for ``omega_at``'s inversion of ``jinv``, and
-where the tree regroups the product.  The scalar functions stay the
-per-call API and the oracles in ``tests/test_batch.py``, which states the
-tolerance each array function holds.
+``kinematics._apply_jacobian``, ``trajectory._rate_xyz`` and
+``trajectory._increment_xyz`` take (n,) columns here and Python floats
+there, and IEEE arithmetic rounds each element as it rounds the float.
+Rows are kept as the transpose of a ``(3, n)`` array (``_rows``), so
+``rows.T`` hands the kernels contiguous columns.  Results differ from a
+scalar loop in the last bits where numpy's sin, cos and stacked 3x3
+products round differently, where the cone's closed-form rate stands in
+for ``omega_at``'s inversion of ``jinv``, and where the tree regroups the
+product.  The scalar functions stay the per-call API and the oracles in
+``tests/test_batch.py``, which states the tolerance each array function
+holds.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -52,7 +50,7 @@ from .errors import AngleOutOfDomain, StageEvaluationError
 from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
                          _apply_jacobian)
 from .so3 import SMALL_ANGLE, _dcm_entries, compose
-from .trajectory import _GL_NODES, _GL_WEIGHTS, _rate_scale, _rate_xyz
+from .trajectory import _increment_xyz, _rate_xyz
 
 #: Steps per block; for the two-speed method, sensor intervals per block.
 #: Bounds the engine's working set whatever the step count.
@@ -74,40 +72,12 @@ def omega_many(signal, t: np.ndarray) -> np.ndarray:
     return _rows(_rate_xyz(signal, t, np), t.size)
 
 
-def _per_call(rows: int) -> int:
-    """How many batches of ``rows`` times one ``omega_many`` call takes:
-    as many as fit in ``BLOCK`` rows, and at least one."""
-    return max(1, BLOCK // rows)
-
-
 def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """``trajectory.synth_delta_theta`` over every ``[t0[i], t1[i]]``.
 
-    Default panel count, and the panel and node order of the scalar rule.
-    The rates of several nodes come from one ``omega_many`` call of at most
-    ``max(BLOCK, intervals)`` rows; they are accumulated node by node, so
-    the result does not depend on how the nodes are batched.  The caller
-    guarantees ``t1 > t0``.
+    The caller guarantees ``t1 > t0``.
     """
-    panels = np.ceil((t1 - t0) * _rate_scale(signal) / math.pi) + 2.0
-    out = np.empty((3, t0.size))
-    nodes = _GL_NODES.size
-    for count in np.unique(panels):
-        rows = panels == count
-        start = t0[rows]
-        h = (t1[rows] - start) / count
-        half = 0.5 * h
-        acc = np.zeros((3, start.size))
-        total, per = int(count) * nodes, _per_call(start.size)
-        for q0 in range(0, total, per):
-            q = np.arange(q0, min(q0 + per, total))
-            mid = start + (q // nodes)[:, None] * h + half
-            t = mid + half * _GL_NODES[q % nodes][:, None]
-            omega = omega_many(signal, t.ravel()).T.reshape(3, q.size, -1)
-            for w, rate in zip(_GL_WEIGHTS[q % nodes], omega.swapaxes(0, 1)):
-                acc = acc + w * rate
-        out[:, rows] = acc * half
-    return out.T
+    return _rows(_increment_xyz(signal, t0, t1, np), t0.size)
 
 
 # ----------------------------------------------------- rate-sample steps
@@ -149,10 +119,11 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
     t_k = t0 + np.arange(k0, k1) * dt
     n = t_k.size
     # The stage rates do not depend on the stages: evaluate each distinct
-    # stage time once, several of them per omega_many call.
+    # stage time once, as many of them per omega_many call as fit in BLOCK
+    # rows, and at least one.
     nodes, node_of = np.unique(tab.c, return_inverse=True)
     rates = []
-    per = _per_call(n)
+    per = max(1, BLOCK // n)
     for i in range(0, nodes.size, per):
         t = t_k + dt * nodes[i:i + per, None]
         omega = omega_many(signal, t.ravel()).T.reshape(3, -1, n)
@@ -220,9 +191,9 @@ class IncrementGrid:
     two-speed method reads ``dt / minor``, minor interval j of step k being
     the grid's interval ``k minor + j``.  A grid synthesizes each interval
     of its width once, and every reader takes its increments from it.  It is
-    filled in chunks of at most ``BLOCK + 2`` intervals, so no
-    ``omega_many`` call grows with the grid; synthesis is row-wise, so the
-    chunks change no bits.  Row ``i`` holds interval ``k = i - 1``.
+    filled in chunks of at most ``BLOCK + 2`` intervals, so no temporary of
+    ``synth_many`` grows with the grid; synthesis is row-wise, so the chunks
+    change no bits.  Row ``i`` holds interval ``k = i - 1``.
     """
 
     def __init__(self, signal, h: float, n: int):

@@ -49,7 +49,7 @@ from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4)
 from .so3 import attitude_error_angle
 from .trajectory import (MAX_SUBSTEPS, AnalyticAttitudeSignal,
-                         default_panels, exact_attitude, preset,
+                         _sines, exact_attitude, preset,
                          reference_attitude, reference_substeps,
                          PRESET_NAMES)
 
@@ -209,20 +209,20 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
 
 def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
     """Raise ``ConfigError`` if ``n`` steps of ``dt`` take more than
-    ``MAX_CELL_STEPS`` sensor intervals or, for an increment method, an
-    increment more than ``MAX_SUBSTEPS`` quadrature panels."""
+    ``MAX_CELL_STEPS`` sensor intervals, or if a phase ``f t + p`` of the
+    signal is not finite at an end of ``[-h, (n m + 1) h]``, h = dt / m for
+    m minor steps: the span of the cell's increment grid, which covers the
+    times a rate-sample cell reads."""
     minor = method.minor_steps or 1
     if n * minor > MAX_CELL_STEPS:
         raise ConfigError(
             f"{method.label()} at dt={dt!r} needs {n * minor} sensor "
             f"intervals, above the per-cell cap of {MAX_CELL_STEPS}")
-    if not method.uses_rate_samples:
-        panels = default_panels(signal, dt / minor)
-        if panels > MAX_SUBSTEPS:
-            raise ConfigError(
-                f"{method.label()} at dt={dt!r} needs {panels:.3g} "
-                f"quadrature panels per increment, above the budget of "
-                f"{MAX_SUBSTEPS}")
+    h = dt / minor
+    if not all(abs(f * t + p) < math.inf for f, p in _sines(signal)
+               for t in (-h, (n * minor + 1) * h)):
+        raise ConfigError(f"{method.label()} at dt={dt!r} takes the signal's "
+                          f"phase beyond the float range")
 
 
 def _grid_key(method: MethodId, dt: float, n: int):
@@ -286,8 +286,8 @@ def validate_config(cfg: SweepConfig) -> None:
 
     Besides the shape of the sweep this bounds its work: every value must be
     finite, no cell may propagate more than ``MAX_CELL_STEPS`` sensor
-    intervals, no increment may take more than ``MAX_SUBSTEPS`` quadrature
-    panels, and a step-doubled reference may not start above its budget of
+    intervals or read a time at which the signal's phase is not finite, and
+    a step-doubled reference may not start above its budget of
     ``MAX_SUBSTEPS`` substeps.
     """
     if cfg.signal not in PRESET_NAMES:
@@ -316,7 +316,7 @@ def validate_config(cfg: SweepConfig) -> None:
             f"{cfg.tolerance!r}")
     signal = preset(cfg.signal)
     for method in cfg.methods:
-        # The finest step has the most intervals, the coarsest the most panels.
+        # The finest step has the most intervals, the coarsest the widest span.
         _check_cell(method, signal, cfg.step_sizes[-1], steps[-1])
         _check_cell(method, signal, cfg.step_sizes[0], steps[0])
     if exact_attitude(signal, 0.0) is None:

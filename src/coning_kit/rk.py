@@ -222,10 +222,9 @@ def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
                          omega1: np.ndarray, dt: float) -> np.ndarray:
     """Quadratic-order closed form of the three-stage rotation increment.
 
-    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/6)(w0 - w1) x wm + (dt^2/12) w1 x wm``.
-    Agrees with the three-stage solver to O(dt^3) when the samples come
-    from a smooth rate signal; the trailing ``w1 x wm`` term makes the
-    form asymmetric relative to the four-stage one.
+    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/6)(w0 - w1) x wm - (dt^2/12) w0 x w1``:
+    the three-stage scheme's second-order expansion, whose cross term is
+    ``(dt^2/6) w0 x wm + (dt^2/6) wm x w1 - (dt^2/12) w0 x w1``.
     """
     _check_dt(dt)
     w0 = np.asarray(omega0, dtype=float)
@@ -234,7 +233,7 @@ def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
     simpson = (dt / 6.0) * (w0 + 4.0 * wm + w1)
     return (simpson
             + (dt * dt / 6.0) * cross(w0 - w1, wm)
-            + (dt * dt / 12.0) * cross(w1, wm))
+            - (dt * dt / 12.0) * cross(w0, w1))
 
 
 def delta_phi_rk4_closed(omega0: np.ndarray, omega_mid: np.ndarray,

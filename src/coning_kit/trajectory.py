@@ -15,13 +15,13 @@ Three signal families are available, each evaluable at arbitrary time:
 Reference attitudes and synthetic increments are deterministic: repeated
 calls with equal inputs return bitwise-identical results.
 
-Every signal's rate is written once, in ``_rate_xyz``: on Python floats for
-``synth_delta_theta``, and on columns for the array engine's
-``_batch.omega_many``.  The polynomial and Fourier rates keep the
-operations and their order of the numpy forms that are their oracles in
-the tests, so ``omega_at`` and ``synth_delta_theta`` agree with them bit
-for bit.  ``omega_at`` of the cone does not use the closed form: it inverts
-``kinematics.jinv``, and is the closed form's oracle.
+Every signal's rate is written once, in ``_rate_xyz``, and its increment
+once, in ``_increment_xyz``: on Python floats for ``omega_at`` and
+``synth_delta_theta``, and on columns for the array engine's ``_batch``.
+The polynomial and Fourier rates keep the operations and their order of the
+numpy forms that are their oracles in the tests, so ``omega_at`` agrees
+with them bit for bit.  ``omega_at`` of the cone does not use the closed
+form: it inverts ``kinematics.jinv``, and is the closed form's oracle.
 """
 
 from __future__ import annotations
@@ -38,17 +38,17 @@ from .rate_model import RatePolynomial
 from .rk import tableau_rk4
 from .so3 import attitude_error_angle, dcm_from_rotation_vector
 
-#: Nodes and weights of the 5-point Gauss-Legendre rule on [-1, 1], and
-#: the same rule as (node, weight) pairs of Python floats.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GL_PAIRS = tuple(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+#: The 5-point Gauss-Legendre rule on [-1, 1], as (node, weight) pairs of
+#: Python floats; exact for polynomials of degree <= 9.
+_GL_PAIRS = tuple(zip(*(x.tolist()
+                        for x in np.polynomial.legendre.leggauss(5))))
 
 #: Names accepted by ``preset``.
 PRESET_NAMES = ("poly3", "fourier3", "coning")
 
 #: Most steps one propagation may take: a sweep cell's sensor intervals
-#: (``bench.MAX_CELL_STEPS``), the substeps of one refinement of
-#: ``reference_attitude``, or the quadrature panels of one increment.
+#: (``bench.MAX_CELL_STEPS``) or the substeps of one refinement of
+#: ``reference_attitude``.
 MAX_SUBSTEPS = 2 ** 20
 
 
@@ -108,9 +108,10 @@ class FourierRate:
 
 @dataclass(frozen=True)
 class ConingRotationVector:
-    """Rotation-vector cone ``phi(t) = alpha (cos Wt, sin Wt, 0)``; its
-    rate's plan ``(W, W sin(alpha), -2 W sin(alpha/2)^2)`` is precomputed as
-    Python floats, with the half angle: ``1 - cos(alpha)`` would cancel."""
+    """Rotation-vector cone ``phi(t) = alpha (cos Wt, sin Wt, 0)``; the
+    plan ``(W, W sin(alpha), -2 W sin(alpha/2)^2, 2 sin(alpha))`` of its rate
+    and increment is precomputed as Python floats, with the half angle:
+    ``1 - cos(alpha)`` would cancel."""
 
     cone_angle: float
     precession_rate: float
@@ -125,20 +126,8 @@ class ConingRotationVector:
                 f"{self.precession_rate!r}")
         a, w = float(self.cone_angle), float(self.precession_rate)
         object.__setattr__(self, "_plan", (
-            w, w * math.sin(a), -2.0 * w * math.sin(0.5 * a) ** 2))
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Panel count for the composite 5-point Gauss-Legendre rule."""
-
-    panels_per_interval: int
-    POINTS_PER_PANEL = 5
-
-    def __post_init__(self):
-        if self.panels_per_interval < 1:
-            raise ValueError(
-                f"panel count must be >= 1, got {self.panels_per_interval}")
+            w, w * math.sin(a), -2.0 * w * math.sin(0.5 * a) ** 2,
+            2.0 * math.sin(a)))
 
 
 AnalyticAttitudeSignal = PolynomialRate | FourierRate | ConingRotationVector
@@ -204,10 +193,56 @@ def _rate_xyz(signal: AnalyticAttitudeSignal, t, lib=math):
             wz = wz * tau + rz
         return wx, wy, wz
     if isinstance(signal, ConingRotationVector):
-        w, w_sin, wz = signal._plan
+        w, w_sin, wz, _ = signal._plan
         wt = w * t
         return -w_sin * lib.sin(wt), w_sin * lib.cos(wt), wz
     raise TypeError(f"unknown signal type {type(signal).__name__}")
+
+
+def _increment_xyz(signal: AnalyticAttitudeSignal, t0, t1, lib=math):
+    """Components of ``synth_delta_theta(signal, t0, t1)``: floats, or
+    columns for 1-d endpoints with ``lib=np``.
+
+    Over ``h = t1 - t0`` about the midpoint ``m``, a sine of frequency ``f``
+    and phase ``p`` integrates to ``(2/f) sin(f h/2) sin(f m + p)``: a
+    product, so no difference of antiderivatives cancels.  The polynomial
+    rate takes one panel of 5-point Gauss-Legendre, exact for its degree.
+    """
+    h = t1 - t0
+    half = 0.5 * h
+    mid = t0 + half
+    if isinstance(signal, FourierRate):
+        ax = ay = az = 0.0
+        for sx, sy, sz, freq, phase in signal._plan:
+            c = 2.0 / freq * lib.sin(freq * half) * lib.sin(freq * mid + phase)
+            ax = ax + sx * c
+            ay = ay + sy * c
+            az = az + sz * c
+        return ax, ay, az
+    if isinstance(signal, PolynomialRate):
+        ax = ay = az = 0.0
+        for x, w in _GL_PAIRS:
+            wx, wy, wz = _rate_xyz(signal, mid + half * x, lib)
+            ax = ax + w * wx
+            ay = ay + w * wy
+            az = az + w * wz
+        return ax * half, ay * half, az * half
+    if isinstance(signal, ConingRotationVector):
+        w, _, wz, two_sin = signal._plan
+        s = two_sin * lib.sin(w * half)
+        wm = w * mid
+        return -s * lib.sin(wm), s * lib.cos(wm), wz * h
+    raise TypeError(f"unknown signal type {type(signal).__name__}")
+
+
+def _sines(signal: AnalyticAttitudeSignal) -> list:
+    """``(frequency, phase)`` of each sine in the signal's rate: ``(W, 0)``
+    for the cone, one per Fourier term, none for a polynomial rate."""
+    if isinstance(signal, FourierRate):
+        return [(freq, phase) for *_, freq, phase in signal._plan]
+    if isinstance(signal, ConingRotationVector):
+        return [(signal.precession_rate, 0.0)]
+    return []
 
 
 def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
@@ -239,53 +274,18 @@ def _check_interval(t0: float, t1: float) -> None:
         raise ValueError(f"need finite t1 > t0, got [{t0!r}, {t1!r}]")
 
 
-def _rate_scale(signal: AnalyticAttitudeSignal) -> float:
-    """Characteristic angular frequency content, for quadrature sizing."""
-    if isinstance(signal, FourierRate):
-        return max(freq for _, freq, _ in signal.terms)
-    if isinstance(signal, ConingRotationVector):
-        return signal.precession_rate
-    return 0.0
-
-
-def default_panels(signal: AnalyticAttitudeSignal, width: float):
-    """Panel count ``synth_delta_theta`` uses by default over ``width``:
-    an int, or ``math.inf`` where the count overflows a float."""
-    x = width * _rate_scale(signal) / math.pi
-    return math.ceil(x) + 2 if x < math.inf else math.inf
-
-
-def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float, t1: float,
-                      quadrature: QuadratureSpec | None = None) -> np.ndarray:
+def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float,
+                      t1: float) -> np.ndarray:
     """Integrated-rate increment ``int omega dt`` over ``[t0, t1]``.
 
-    Composite 5-point Gauss-Legendre; exact up to roundoff for polynomial
-    rates (degree <= 9 per panel).  When ``quadrature`` is omitted the panel
-    count defaults to ``ceil((t1 - t0) * max_frequency / pi) + 2``, sized so
-    synthesis error sits far below any integrator error under test.
-    Increments are additive across adjacent intervals.  Raises
-    ``ValueError`` unless ``t1 > t0`` and the width ``t1 - t0`` is finite,
-    and, before evaluating any rate, if the panel count exceeds
-    ``MAX_SUBSTEPS``.
+    In closed form for the cone and the Fourier signals, and by one panel of
+    5-point Gauss-Legendre, exact up to roundoff, for the polynomial rates
+    (degree <= 5).  Increments are additive across adjacent intervals to
+    roundoff.  Raises ``ValueError`` unless ``t1 > t0`` and the width
+    ``t1 - t0`` is finite.
     """
     _check_interval(t0, t1)
-    panels = (default_panels(signal, t1 - t0) if quadrature is None
-              else quadrature.panels_per_interval)
-    if panels > MAX_SUBSTEPS:
-        raise ValueError(f"{panels:.3g} quadrature panels exceed the budget "
-                         f"of {MAX_SUBSTEPS}")
-    h = (t1 - t0) / panels
-    half = 0.5 * h
-    ax = ay = az = 0.0
-    for j in range(panels):
-        mid = t0 + j * h + half
-        for x, w in _GL_PAIRS:
-            wx, wy, wz = _rate_xyz(signal, mid + half * x)
-            ax += w * wx
-            ay += w * wy
-            az += w * wz
-    # common panel width: one scaling of the accumulated weighted sum
-    return np.array([ax * half, ay * half, az * half])
+    return np.array(_increment_xyz(signal, t0, t1))
 
 
 def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
@@ -302,7 +302,8 @@ def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
 def reference_substeps(signal: AnalyticAttitudeSignal, t0: float,
                        t1: float) -> int:
     """Substeps of the coarsest refinement of ``reference_attitude``."""
-    return max(8, math.ceil((t1 - t0) * max(_rate_scale(signal), 1.0)))
+    scale = max([1.0, *(freq for freq, _ in _sines(signal))])
+    return max(8, math.ceil((t1 - t0) * scale))
 
 
 def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,

@@ -12,8 +12,8 @@ bounded relative to the magnitude of the compared quantity:
 - ``CHAIN_TOL`` per product for a chain of rotations, on the attitude
   error angle.
 
-How many node or stage times share one ``omega_many`` call changes nothing:
-the batched results equal those of one call per node bit for bit.
+How many stage times share one ``omega_many`` call changes nothing: the
+batched results equal those of one call per stage time bit for bit.
 
 A kernel shared by both sides cannot show its own error in those
 comparisons, so ``TestAgainstNumpy`` also holds each array function to a
@@ -131,7 +131,7 @@ class TestBatching:
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_results_do_not_depend_on_the_batch(self, kind, seed):
-        # BLOCK = 1 evaluates one node or stage time per call; a huge BLOCK
+        # BLOCK = 1 evaluates one stage time per call; a huge BLOCK
         # evaluates all of them in one.
         rng = np.random.default_rng(seed)
         signal = random_signal(rng, kind)
@@ -155,16 +155,22 @@ class TestBatching:
     def test_default_sweep_calls_stay_within_the_row_bound(self, signal,
                                                            monkeypatch):
         # Batching may not grow the working set, which drives peak memory:
-        # no call takes more rows than the largest unbatched call, a block
-        # of steps or the increments of one, BLOCK + 2 for theta3.
+        # no rate or increment call takes more rows than the largest
+        # unbatched call, a block of steps or the increments of one,
+        # BLOCK + 2 for theta3.
         rows = []
-        omega_many = _batch.omega_many
 
-        def counted(sig, t):
-            rows.append(t.size)
-            return omega_many(sig, t)
+        def counted(name):
+            original = getattr(_batch, name)
 
-        monkeypatch.setattr(_batch, "omega_many", counted)
+            def call(sig, t, *rest):
+                rows.append(t.size)
+                return original(sig, t, *rest)
+
+            monkeypatch.setattr(_batch, name, call)
+
+        counted("omega_many")
+        counted("synth_many")
         run_sweep(SweepConfig(
             signal=signal,
             methods=tuple(parse_method(m) for m in (

@@ -109,18 +109,20 @@ class TestPropagate:
             propagate(MethodId(MethodKind.RK4_OMEGA), signal, 0.3, 1.0)
 
     @pytest.mark.parametrize("method, signal, dt, horizon, named", [
-        (MethodId(MethodKind.SINGLE_SPEED_THETA2), "coning", 1e6, 1e6,
-         "panels"),
+        (MethodId(MethodKind.SINGLE_SPEED_THETA2), "coning", 1e308, 1e308,
+         "phase"),
+        (MethodId(MethodKind.TWO_SPEED_CLASSIC, 4), "fourier3", 1e308,
+         1e308, "phase"),
         (MethodId(MethodKind.FWD_EULER_OMEGA), "fourier3", 2.0 ** -21, 1.0,
          "cap"),
         (MethodId(MethodKind.TWO_SPEED_CLASSIC, 4), "poly3", 2.0 ** -19,
          1.0, "twospeed4"),
-    ], ids=["panels", "steps", "two-speed-intervals"])
+    ], ids=["phase", "fourier-phase", "steps", "two-speed-intervals"])
     def test_applies_the_sweep_cell_bounds(self, method, signal, dt,
                                            horizon, named, monkeypatch):
-        # 3.2e6 quadrature panels per increment, 2^21 steps and 2^21
-        # sensor intervals once ran unbounded here: no grid or composer
-        # may start.
+        # A coning or Fourier phase that overflows at the grid's last
+        # endpoint, 2^21 steps and 2^21 sensor intervals once ran unbounded
+        # here: no grid or composer may start.
         def no_work(*args, **kwargs):
             raise AssertionError("propagation started")
 
@@ -184,6 +186,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="twospeed4"):
             validate_config(dataclasses.replace(
                 self.good(), methods=two_speed, step_sizes=(dt,)))
+
+    @pytest.mark.parametrize("dt", [1e308, 2e307])
+    def test_rejects_a_phase_that_overflows(self, dt):
+        # One rk4omega step of the cone: W t is inf at the horizon, where
+        # the closed-form truth once raised "math domain error".
+        cfg = dataclasses.replace(self.good(), step_sizes=(dt,), horizon=dt)
+        with pytest.raises(ConfigError, match="phase"):
+            validate_config(cfg)
 
     def test_reference_start_budget(self):
         # 10^6 steps of 1 s pass the cell cap; fourier3's reference would

@@ -152,14 +152,14 @@ class TestSweepCommand:
         (["--halvings", "1000000"], "halvings"),
         (["--signal", "fourier3", "--horizon", "1000000", "--dt-max", "1",
           "--halvings", "0"], "budget"),
-        (["--signal", "coning", "--dts", "1e6,5e5,2.5e5", "--horizon",
-          "1e6"], "panels"),
+        (["--signal", "coning", "--dts", "1e308", "--horizon", "1e308"],
+         "phase"),
         (["--dts", _INCREASING_DTS], "decreasing"),
         (["--dts", _DECREASING_DTS + ",nan"], "finite"),
         (["--dts", _DECREASING_DTS + ",-1"], "positive"),
         (["--dts", _DECREASING_DTS + ",x"], "dts"),
     ], ids=["horizon-nan", "horizon-inf", "tolerance-nan", "halvings-40",
-            "halvings-1e6", "reference-budget", "panel-budget",
+            "halvings-1e6", "reference-budget", "phase-overflow",
             "dts-increasing", "dts-nan", "dts-negative", "dts-unparsable"])
     def test_unbounded_work_rejected_before_sweeping(self, flags, named,
                                                      tmp_path, monkeypatch,
@@ -167,8 +167,8 @@ class TestSweepCommand:
         # Each once escaped validation: NaN and inf horizons as a traceback
         # from round(), a NaN tolerance and 40 halvings as a sweep that
         # never ends, a 10^6 s fourier3 horizon as a step-doubled reference
-        # that starts at 2.2e6 substeps, 10^6 s coning increments as 3.2e6
-        # quadrature panels each, 10^6 halvings as 10^6 step sizes built and
+        # that starts at 2.2e6 substeps, a 10^308 s coning step as a phase
+        # W t that overflows, 10^6 halvings as 10^6 step sizes built and
         # echoed in a 5 MB message, 10^5 increasing step sizes echoed in a
         # 937 KB one, 5 x 10^4 with a bad last value in 250 KB.  None may
         # start any propagation, and the message stays short.

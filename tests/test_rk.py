@@ -249,8 +249,9 @@ class TestClosedForms:
         (delta_phi_rk4_closed, tableau_rk4),
     ])
     def test_matches_engine_with_approx_jacobian(self, closed, factory):
-        # three-stage form drops terms that are only O(dt^3) when the node
-        # samples come from a smooth signal, so sample a smooth quadratic
+        # the closed forms drop the solvers' third-order terms, which are
+        # small only when the node samples come from a smooth signal, so
+        # sample a smooth quadratic
         rng = np.random.default_rng(302)
         dt = 1e-3
         for _ in range(100):
@@ -264,7 +265,7 @@ class TestClosedForms:
         (delta_phi_rk3_closed, tableau_rk3),
         (delta_phi_rk4_closed, tableau_rk4),
     ])
-    def test_discrepancy_shrinks_cubically(self, closed, factory):
+    def test_discrepancy_shrinks_quartically(self, closed, factory):
         rng = np.random.default_rng(303)
         sampler = quadratic_sampler(rng.uniform(-1.0, 1.0, (3, 3)))
         gaps = []
@@ -275,7 +276,7 @@ class TestClosedForms:
                 sampler, 0.0, dt, factory(), JacobianMode.THIRD_ORDER_APPROX)
             gaps.append(np.max(np.abs(closed(w0, wm, w1, dt) - engine)))
         slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
-        assert slope >= 2.9
+        assert slope >= 3.9
 
     def test_rejects_nonpositive_dt(self):
         w = np.zeros(3)

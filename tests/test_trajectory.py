@@ -14,10 +14,9 @@ from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import (attitude_error_angle, dcm_from_rotation_vector,
                             rotation_vector_from_dcm)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
-                                   PolynomialRate, QuadratureSpec,
-                                   exact_attitude, omega_at, preset,
-                                   reference_attitude, synth_delta_theta,
-                                   PRESET_NAMES)
+                                   PolynomialRate, exact_attitude, omega_at,
+                                   preset, reference_attitude,
+                                   synth_delta_theta, PRESET_NAMES)
 
 
 def make_poly(coeffs):
@@ -44,6 +43,33 @@ def cone_rate_40_digits(signal, phase):
         c2 = cross(phi, c1)
         return [float(v - k1 * x + k2 * y)
                 for v, x, y in zip(phi_dot, c1, c2)]
+
+
+def increment_40_digits(signal, t0, t1):
+    """``int omega dt`` over the float interval ``[t0, t1]``, from the
+    antiderivative in 40-digit arithmetic."""
+    with mp.workdps(40):
+        t0, t1 = mp.mpf(t0), mp.mpf(t1)
+        if isinstance(signal, PolynomialRate):
+            origin = mp.mpf(signal.model.origin)
+            out = [mp.mpf(0)] * 3
+            for k, row in enumerate(signal.model.coeffs.tolist()):
+                d = ((t1 - origin) ** (k + 1)
+                     - (t0 - origin) ** (k + 1)) / (k + 1)
+                out = [o + mp.mpf(c) * d for o, c in zip(out, row)]
+        elif isinstance(signal, ConingRotationVector):
+            a = mp.mpf(signal.cone_angle)
+            w = mp.mpf(signal.precession_rate)
+            out = (mp.sin(a) * (mp.cos(w * t1) - mp.cos(w * t0)),
+                   mp.sin(a) * (mp.sin(w * t1) - mp.sin(w * t0)),
+                   -2 * w * mp.sin(a / 2) ** 2 * (t1 - t0))
+        else:
+            out = [mp.mpf(0)] * 3
+            for amp, freq, phase in signal.terms:
+                f, p = mp.mpf(freq), mp.mpf(phase)
+                c = (mp.cos(f * t0 + p) - mp.cos(f * t1 + p)) / f
+                out = [o + mp.mpf(x) * c for o, x in zip(out, amp.tolist())]
+        return [float(v) for v in out]
 
 
 class TestSignals:
@@ -112,10 +138,6 @@ class TestSignals:
         with pytest.raises(KeyError):
             preset("nope")
         assert set(PRESET_NAMES) == {"poly3", "fourier3", "coning"}
-
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(panels_per_interval=0)
 
 
 class TestOmegaAt:
@@ -234,18 +256,6 @@ class TestSynthDeltaTheta:
         whole = synth_delta_theta(signal, 0.0, 0.4)
         assert np.max(np.abs(a + b - whole)) <= 1e-14
 
-    @pytest.mark.parametrize("name", ["fourier3", "coning"])
-    def test_default_panels_converged_at_sensor_scales(self, name):
-        signal = preset(name)
-        for t0, dt in ((0.0, 0.25), (1.1, 0.05), (3.7, 0.25)):
-            base = synth_delta_theta(signal, t0, t0 + dt)
-            default_panels = math.ceil(
-                dt * (signal.precession_rate
-                      if name == "coning" else math.sqrt(5.0)) / math.pi) + 2
-            doubled = synth_delta_theta(
-                signal, t0, t0 + dt, QuadratureSpec(2 * default_panels))
-            assert np.max(np.abs(base - doubled)) <= 1e-13
-
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             synth_delta_theta(preset("poly3"), 1.0, 1.0)
@@ -258,19 +268,53 @@ class TestSynthDeltaTheta:
         with pytest.raises(ValueError, match="t1 > t0"):
             synth_delta_theta(preset(name), t0, t1)
 
-    @pytest.mark.parametrize("t1, quadrature", [
-        (1e12, None), (1e308, None),
-        (1.0, QuadratureSpec(trajectory.MAX_SUBSTEPS + 1))],
-        ids=["default-panels", "panels-overflow", "quadrature-spec"])
-    def test_panel_budget_checked_before_any_rate(self, t1, quadrature,
-                                                  monkeypatch):
-        # fourier3 over [0, 1e12] s takes 7.1e11 panels by default.
-        def no_rate(*args, **kwargs):
-            raise AssertionError("rate evaluated")
+    @pytest.mark.parametrize("kind", ["cone", "fourier", "poly"])
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_increments_match_40_digit_arithmetic(self, kind, seed):
+        # The increments on floats and on columns against the
+        # antiderivative in exact-enough arithmetic.  A phase f t + p is
+        # rounded to about eps |f t + p|, so the bound grows with it.
+        rng = np.random.default_rng(seed)
+        if kind == "poly":
+            # Degree 5 over one Gauss-Legendre panel.  A time rounded to
+            # eps |t| moves the rate by at most 5 eps of the bound below, so
+            # the degree stands in for the phase.
+            signal = make_poly(rng.normal(size=(6, 3)))
+            rows = np.abs(signal.model.coeffs).sum(axis=1)
 
-        monkeypatch.setattr(trajectory, "_rate_xyz", no_rate)
-        with pytest.raises(ValueError, match="panels exceed the budget"):
-            synth_delta_theta(preset("fourier3"), 0.0, t1, quadrature)
+            def peak_and_phase(x0, x1):
+                return max(float(rows @ abs(t) ** np.arange(6))
+                           for t in (x0, x1)), 5.0
+        else:
+            if kind == "cone":
+                signal = ConingRotationVector(rng.uniform(1e-3, 1.5),
+                                              rng.uniform(0.1, 30.0))
+                a, w = signal.cone_angle, signal.precession_rate
+                peak = 2.0 * w * math.sin(0.5 * a)
+                sines = [(w, 0.0)]
+            else:
+                signal = FourierRate(tuple(
+                    (rng.normal(size=3), rng.uniform(0.1, 30.0),
+                     rng.uniform(-math.pi, math.pi)) for _ in range(3)))
+                peak = sum(float(np.linalg.norm(amp))
+                           for amp, _, _ in signal.terms)
+                sines = [(f, p) for _, f, p in signal.terms]
+
+            def peak_and_phase(x0, x1):
+                return peak, max(abs(f * t + p) for f, p in sines
+                                 for t in (x0, x1))
+        t0 = rng.uniform(-20.0, 19.0, 8)
+        t1 = t0 + 10.0 ** rng.uniform(-4.0, 0.0, 8)
+        columns = _batch.synth_many(signal, t0, t1)
+        for x0, x1, column in zip(t0.tolist(), t1.tolist(), columns):
+            want = np.array(increment_40_digits(signal, x0, x1))
+            peak, phase = peak_and_phase(x0, x1)
+            bound = (2.0 * np.finfo(float).eps * (x1 - x0) * peak
+                     * (1.0 + phase))
+            got = synth_delta_theta(signal, x0, x1)
+            assert float(np.max(np.abs(got - want))) <= bound
+            assert float(np.max(np.abs(column - want))) <= bound
 
 
 class TestReferenceAttitude:
