@@ -1,43 +1,37 @@
 """Array propagation engine behind ``bench.propagate`` and the reference.
 
 Every propagation step starts from a zero rotation vector, so the per-step
-rotation vectors are independent of one another.  A *producer* returns the
-``(n, 3)`` rotation vectors of steps ``k0 .. k1 - 1`` as array operations:
+rotation vectors are independent of one another, within one step size (a
+*cell*) and across cells.  ``compose_steps`` propagates any number of cells
+in one *pass*: it cuts each cell into *segments* ``(cell, k0, k1)`` of at
+most a block of steps, packs consecutive segments, of one cell or of
+several, into calls of at most a block of rows, and asks a *producer* for
+each call's ``(n, 3)`` rotation vectors:
 
 - ``rate_steps`` runs the Runge-Kutta stages of the rotation-vector ODE on
-  the signal's rate at the stage times (``rk.integrate_attitude_step``);
+  the signal's rate (``rk.integrate_attitude_step``), with each row's step
+  start and width as columns; one ``omega_many`` call takes the times of as
+  many stages as fit in ``BLOCK`` rows, and at least one;
 - ``miller_steps``, ``rk4_theta2_steps``, ``rk4_theta3_steps`` and
-  ``two_speed_steps`` read their increments from an ``IncrementGrid``,
-  which synthesizes each sensor interval ``[k h, (k + 1) h]`` once
-  (``synth_many``, after ``trajectory.synth_delta_theta``), and apply one
-  ``coning`` correction.  Every increment method reads the grid's own
-  intervals, as a strapdown sensor samples every algorithm's increments on
-  one clock.
+  ``two_speed_steps`` read each cell's increments from its
+  ``IncrementGrid``, which synthesizes each sensor interval of one width
+  once, and apply one ``coning`` correction.
 
-``rate_steps`` gets its rates from ``omega_many``.  One call takes the times
-of as many RK stages as fit in ``BLOCK`` rows, and at least one, so no call
-is larger than one stage's times for a block's steps.
+``chain_product`` multiplies each segment's DCMs in a pairwise tree and
+``so3.compose`` folds the product onto its cell: the one sequential step,
+and the drift control, once per segment.  Every kernel works row by row and
+a cell's segments do not depend on the rest of its pass, so a cell's
+attitude is bitwise the same alone or in any pass.
 
-``compose_steps`` is the one composer: it asks a producer for one block of
-``BLOCK`` steps at a time, turns the rotation vectors into DCMs and
-multiplies them in a plain pairwise tree; only the fold of block products
-onto the running attitude is sequential.  Drift is checked once per block,
-by ``so3.compose`` at that fold; the product of ``BLOCK`` DCMs stays well
-inside ``so3.DRIFT_TOL``, which ``tests/test_batch.py`` holds it to.
-
-Each array function shares the kernel of the per-call function it
-replaces: the ``coning`` correction kernels, ``so3._dcm_entries``,
-``kinematics._apply_jacobian``, ``trajectory._rate_xyz`` and
-``trajectory._increment_xyz`` take (n,) columns here and Python floats
-there, and IEEE arithmetic rounds each element as it rounds the float.
-Rows are kept as the transpose of a ``(3, n)`` array (``_rows``), so
-``rows.T`` hands the kernels contiguous columns.  Results differ from a
-scalar loop in the last bits where numpy's sin, cos and stacked 3x3
-products round differently, where the cone's closed-form rate stands in
-for ``omega_at``'s inversion of ``jinv``, and where the tree regroups the
-product.  The scalar functions stay the per-call API and the oracles in
-``tests/test_batch.py``, which states the tolerance each array function
-holds.
+Each array function shares the kernel of the per-call function it replaces
+(``coning``, ``so3._dcm_entries``, ``kinematics._apply_jacobian``,
+``trajectory._rate_xyz`` and ``_increment_xyz``) on (n,) columns; rows are
+the transpose of a ``(3, n)`` array (``_rows``), so ``rows.T`` hands the
+kernels contiguous columns.  Results differ from a scalar loop in the last
+bits where numpy's sin, cos and 3x3 products round differently, where the
+cone's closed-form rate stands in for ``omega_at``'s inversion of ``jinv``,
+and where the tree regroups the product; ``tests/test_batch.py`` holds each
+array function to its scalar oracle within a stated tolerance.
 """
 
 from __future__ import annotations
@@ -46,14 +40,16 @@ import numpy as np
 
 from .coning import (_miller_beta, _rk4_theta2_beta, _rk4_theta3_beta,
                      _two_speed_phi)
-from .errors import AngleOutOfDomain, StageEvaluationError
+from .errors import (AngleOutOfDomain, NonFiniteIncrement,
+                     StageEvaluationError)
 from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
                          _apply_jacobian)
 from .so3 import SMALL_ANGLE, _dcm_entries, compose
 from .trajectory import _increment_xyz, _rate_xyz
 
-#: Steps per block; for the two-speed method, sensor intervals per block.
-#: Bounds the engine's working set whatever the step count.
+#: Rows per producer call and steps per segment; for the two-speed method,
+#: sensor intervals.  Bounds the engine's working set whatever the step
+#: count.
 BLOCK = 2048
 
 
@@ -73,10 +69,8 @@ def omega_many(signal, t: np.ndarray) -> np.ndarray:
 
 
 def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """``trajectory.synth_delta_theta`` over every ``[t0[i], t1[i]]``.
-
-    The caller guarantees ``t1 > t0``.
-    """
+    """``trajectory.synth_delta_theta`` over every ``[t0[i], t1[i]]``; the
+    caller guarantees ``t1 > t0``."""
     return _rows(_increment_xyz(signal, t0, t1, np), t0.size)
 
 
@@ -84,11 +78,8 @@ def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
 
 
 def jinv_coefficients(angle: np.ndarray) -> np.ndarray:
-    """``kinematics.jinv_coefficient`` of every angle, branch for branch.
-
-    Angles outside ``[0, MAX_ANGLE)``, NaN included, give NaN instead of
-    raising; the caller decides which one the scalar path would report.
-    """
+    """``kinematics.jinv_coefficient`` of every angle, branch for branch;
+    NaN, instead of raising, for an angle outside ``[0, MAX_ANGLE)``."""
     c = np.full(angle.shape, np.nan)
     series = angle < _SERIES_BRANCH
     taylor = (angle >= _SERIES_BRANCH) & (angle < 1.0)
@@ -107,20 +98,28 @@ def jinv_coefficients(angle: np.ndarray) -> np.ndarray:
     return c
 
 
-def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
-               k0: int, k1: int) -> np.ndarray:
-    """``rk.integrate_attitude_step`` on the signal's rate, steps k0..k1-1.
+def _step_columns(segments, per_cell) -> tuple:
+    """Columns of the step index ``k`` and of the cell's ``per_cell`` value,
+    one row per step of ``segments``."""
+    k = np.concatenate([np.arange(k0, k1) for _, k0, k1 in segments])
+    v = np.repeat([per_cell[c] for c, _, _ in segments],
+                  [k1 - k0 for _, k0, k1 in segments])
+    return k, v
 
-    Step k spans ``[t0 + k dt, t0 + (k + 1) dt]``.  A stage whose rotation
-    vector leaves the exact Jacobian's domain raises
-    ``StageEvaluationError`` from ``AngleOutOfDomain`` for the first step and
-    stage at which the scalar step loop would have raised.
+
+def rate_steps(signal, t0: float, dts, tab, mode: JacobianMode,
+               segments) -> np.ndarray:
+    """``rk.integrate_attitude_step`` on the signal's rate, for the steps of
+    ``segments``; step k of cell c starts at ``t0 + k dts[c]``.
+
+    A stage whose rotation vector leaves the exact Jacobian's domain raises
+    ``StageEvaluationError`` from ``AngleOutOfDomain`` for the first row and
+    stage at which a step loop over the rows would have raised.
     """
-    t_k = t0 + np.arange(k0, k1) * dt
+    k, dt = _step_columns(segments, dts)
+    t_k = t0 + k * dt
     n = t_k.size
-    # The stage rates do not depend on the stages: evaluate each distinct
-    # stage time once, as many of them per omega_many call as fit in BLOCK
-    # rows, and at least one.
+    # The stage rates do not depend on the stages: one per distinct node.
     nodes, node_of = np.unique(tab.c, return_inverse=True)
     rates = []
     per = max(1, BLOCK // n)
@@ -148,7 +147,7 @@ def rate_steps(signal, t0: float, dt: float, tab, mode: JacobianMode,
         nu = int(np.flatnonzero(bad[:, k])[0])
         exc = AngleOutOfDomain(
             f"angle {float(angles[nu, k])!r} outside [0, {MAX_ANGLE!r}) rad")
-        raise StageEvaluationError(nu, t_k[k] + dt * tab.c[nu],
+        raise StageEvaluationError(nu, t_k[k] + dt[k] * tab.c[nu],
                                    str(exc)) from exc
     return _rows(sum((b_l * stages[l] for l, b_l in weights), zero), n)
 
@@ -173,28 +172,19 @@ def rk4_theta3(prior: np.ndarray, curr: np.ndarray,
 
 
 def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """``coning.two_speed_classic`` for each row of ``increments``.
-
-    ``increments`` has shape (n, m, 3); ``before[i]`` is the increment just
-    before row i's window.
-    """
+    """``coning.two_speed_classic`` of each (m, 3) window of
+    ``increments``, ``before[i]`` being the increment before window i."""
     # Shape (m, 3, n): the x, y and z columns of each increment.
     columns = np.ascontiguousarray(increments.transpose(1, 2, 0))
     return _rows(_two_speed_phi(columns, *before.T), increments.shape[0])
 
 
 class IncrementGrid:
-    """Synthetic increments over ``[k h, (k + 1) h]`` for k = -1 .. n.
-
-    Every increment method reads the sensor output of one interval width:
-    the single-speed methods at step size ``dt`` read width ``dt``, the
-    two-speed method reads ``dt / minor``, minor interval j of step k being
-    the grid's interval ``k minor + j``.  A grid synthesizes each interval
-    of its width once, and every reader takes its increments from it.  It is
-    filled in chunks of at most ``BLOCK + 2`` intervals, so no temporary of
-    ``synth_many`` grows with the grid; synthesis is row-wise, so the chunks
-    change no bits.  Row ``i`` holds interval ``k = i - 1``.
-    """
+    """Synthetic increments over ``[k h, (k + 1) h]`` for k = -1 .. n, row
+    ``k + 1`` holding interval k: the sensor output of one width, which
+    every increment method at that width reads.  It is filled in chunks of
+    at most ``BLOCK + 2`` intervals, so no temporary of ``synth_many`` grows
+    with the grid; synthesis is row-wise, so the chunks change no bits."""
 
     def __init__(self, signal, h: float, n: int):
         self.h = h
@@ -208,39 +198,47 @@ class IncrementGrid:
         return self.values[first + 1:last + 1]
 
 
+def _spans(grids, segments, shift: int, minor: int = 1) -> np.ndarray:
+    """Intervals ``k minor + shift + j``, j < minor, of cell c's grid for the
+    steps k of each segment (c, k0, k1), concatenated."""
+    return np.concatenate([grids[c].span(k0 * minor + shift,
+                                         k1 * minor + shift)
+                           for c, k0, k1 in segments])
+
+
 def _windowed(increments: np.ndarray) -> np.ndarray:
     # The scalar path builds a MeasurementWindow per step, which refuses
     # non-finite increments.
     if not np.isfinite(increments).all():
-        raise ValueError("increments must be finite")
+        raise NonFiniteIncrement("increments must be finite")
     return increments
 
 
-def miller_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
-    """Single-speed corrected rotation vectors of steps k0..k1-1; step k
-    spans the grid's interval k."""
-    inc = grid.span(k0 - 1, k1)
-    return miller(inc[:-1], inc[1:])
+def miller_steps(grids, segments) -> np.ndarray:
+    """Single-speed rotation vectors of the steps of ``segments``; step k of
+    cell c spans interval k of ``grids[c]``."""
+    return miller(_spans(grids, segments, -1), _spans(grids, segments, 0))
 
 
-def rk4_theta2_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
-    """Four-stage solver (prior, current) rotation vectors, steps k0..k1-1."""
-    inc = _windowed(grid.span(k0 - 1, k1))
-    return rk4_theta2(inc[:-1], inc[1:], grid.h)
+def rk4_theta2_steps(grids, segments) -> np.ndarray:
+    """Four-stage solver (prior, current) rotation vectors."""
+    _, h = _step_columns(segments, [grid.h for grid in grids])
+    return rk4_theta2(_windowed(_spans(grids, segments, -1)),
+                      _windowed(_spans(grids, segments, 0)), h)
 
 
-def rk4_theta3_steps(grid: IncrementGrid, k0: int, k1: int) -> np.ndarray:
+def rk4_theta3_steps(grids, segments) -> np.ndarray:
     """Four-stage solver (prior, current, next) rotation vectors."""
-    inc = _windowed(grid.span(k0 - 1, k1 + 1))
-    return rk4_theta3(inc[:-2], inc[1:-1], inc[2:])
+    return rk4_theta3(*(_windowed(_spans(grids, segments, shift))
+                        for shift in (-1, 0, 1)))
 
 
-def two_speed_steps(grid: IncrementGrid, minor: int, k0: int,
-                    k1: int) -> np.ndarray:
-    """Two-speed rotation vectors of steps k0..k1-1, ``minor`` increments
-    each; minor interval j of step k is the grid's interval k minor + j."""
-    inc = grid.span(k0 * minor - 1, k1 * minor)
-    return two_speed(inc[1:].reshape(k1 - k0, minor, 3), inc[:-1:minor])
+def two_speed_steps(grids, minor: int, segments) -> np.ndarray:
+    """Two-speed rotation vectors; minor interval j of step k of cell c is
+    interval k minor + j of ``grids[c]``."""
+    inc = _spans(grids, segments, 0, minor)
+    before = _spans(grids, segments, -1, minor)[::minor]
+    return two_speed(inc.reshape(-1, minor, 3), before)
 
 
 # ------------------------------------------------------------ composer
@@ -265,27 +263,33 @@ def dcm_many(phi: np.ndarray) -> np.ndarray:
 
 
 def chain_product(mats: np.ndarray) -> np.ndarray:
-    """``mats[n-1] @ ... @ mats[1] @ mats[0]`` by a pairwise tree.
-
-    Each level multiplies neighbouring pairs.  No drift control: the caller
-    passes the result through ``so3.compose``.
-    """
+    """``mats[n-1] @ ... @ mats[1] @ mats[0]``, each level of the tree
+    multiplying neighbouring pairs; the caller applies ``so3.compose``."""
     while len(mats) > 1:
         prod = mats[1::2] @ mats[:len(mats) - 1:2]
         mats = np.concatenate([prod, mats[-1:]]) if len(mats) % 2 else prod
     return mats[0]
 
 
-def compose_steps(produce, n: int, block: int = BLOCK) -> np.ndarray:
-    """Attitude after steps 0..n-1, starting from the identity.
-
-    ``produce(k0, k1)`` returns the rotation vectors of steps k0..k1-1; each
-    block's DCMs are multiplied by ``chain_product`` and the block products
-    folded onto the attitude with ``so3.compose``, right to left: the
-    engine's drift control, once per block.
-    """
-    t_mat = np.eye(3)
-    for k0 in range(0, n, block):
-        dphi = produce(k0, min(k0 + block, n))
-        t_mat = compose(chain_product(dcm_many(dphi)), t_mat)
-    return t_mat
+def compose_steps(produce, steps, block: int = BLOCK) -> list:
+    """Attitude after each cell's steps, from the identity; cell c has
+    ``steps[c]``.  ``produce(segments)`` returns the rotation vectors of a
+    call's segments, one after the other; each segment's product is folded
+    onto its cell's attitude with ``so3.compose``, right to left."""
+    calls, rows = [], block
+    for c, n in enumerate(steps):
+        for k0 in range(0, n, block):
+            k1 = min(k0 + block, n)
+            if rows + k1 - k0 > block:
+                calls.append([])
+                rows = 0
+            calls[-1].append((c, k0, k1))
+            rows += k1 - k0
+    attitudes = [np.eye(3) for _ in steps]
+    for call in calls:
+        mats = dcm_many(produce(call))
+        for c, k0, k1 in call:
+            attitudes[c] = compose(chain_product(mats[:k1 - k0]),
+                                   attitudes[c])
+            mats = mats[k1 - k0:]
+    return attitudes

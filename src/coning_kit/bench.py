@@ -9,27 +9,24 @@ increments synthesize exact measurements from the signal and apply the
 coning corrections.
 
 Propagation runs on the array engine of ``_batch``.  Every step starts from
-a zero rotation vector, so a method's per-step rotation vectors are
-independent and are computed for blocks of ``_batch.BLOCK`` steps at once;
-one composer multiplies their DCMs in a pairwise tree.  Drift is checked
-once per block, when the block's product is folded onto the running
-attitude by ``so3.compose``: a product whose orthogonality defect exceeds
-``so3.DRIFT_TOL`` is projected back onto SO(3).  Like a strapdown computer,
-which samples each integrated-rate increment once and gives it to every
-algorithm, a sweep synthesizes each distinct sensor interval once: the
-increment methods share one grid of increments per interval width, and a
-shared increment is bitwise the one a cell would synthesize alone.  A
-two-speed cell of m minor steps reads minor interval j of step k as the
-grid's interval ``[(k m + j) h, (k m + j + 1) h]``, h = dt / m, whose
-endpoints are at most one rounding from ``k dt + j h``.  The
-engine groups the floating-point work differently from a step-by-step loop
-over the per-call functions, so a recorded error may move in its last
-digits; the tests hold every record of the default sweeps to 1e-6 relative,
-or 1e-12 absolute (the default reference tolerance), of the loop's values.
+a zero rotation vector, so the steps of all of a method's cells are
+independent: a sweep runs each method in one pass over all its step sizes,
+cut into segments of ``_batch.BLOCK`` steps (``BLOCK // m`` for m minor
+steps), and ``so3.compose`` applies its drift rule once per segment as it
+folds the segment's product onto its cell.  ``propagate`` is a pass of one
+cell, bitwise equal to the same cell of a sweep.  Like a strapdown
+computer, a sweep synthesizes each sensor interval once: the increment
+methods share one grid of increments per interval width, and a two-speed
+cell of m minor steps reads minor interval j of step k as the grid's
+interval ``k m + j`` of width h = dt / m, whose endpoints are at most one
+rounding from ``k dt + j h``.  A recorded error may differ from a
+step-by-step loop over the per-call functions in its last digits; the
+tests hold the default sweeps to 1e-6 relative, or 1e-12 absolute.
 
 The report is method-major and dt-descending; repeated runs give bitwise
-identical records (wall times excepted).  A cell that raises a
-``ConingKitError`` is left out of the records and listed with its reason.
+identical records (wall times excepted).  A pass that raises a
+``ConingKitError`` is run again one cell at a time; a cell that raises
+alone is left out of the records and listed with its reason.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4)
 from .so3 import attitude_error_angle
 from .trajectory import (MAX_SUBSTEPS, AnalyticAttitudeSignal,
-                         _sines, exact_attitude, preset,
+                         _increment_xyz, exact_attitude, preset,
                          reference_attitude, reference_substeps,
                          PRESET_NAMES)
 
@@ -189,73 +186,69 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
               ) -> np.ndarray:
     """Propagate the attitude from identity over ``[0, horizon]``.
 
-    Rate-sample methods integrate the rotation-vector ODE per step;
-    increment methods consume exact synthetic measurements, including the
-    warm-up increment before t = 0 (and, for the three-increment method,
-    one increment past the horizon).  Both run on the array engine: the
-    method's producer computes the per-step rotation vectors a block of
-    steps at a time, and one composer multiplies their DCMs right to left
-    in a pairwise tree, and ``so3.compose`` checks drift once per block as
-    it folds the block's product onto the attitude.  The result matches the
-    step-by-step composition of the per-call functions to roundoff (see
-    ``tests/test_batch.py``), and equals the same cell of ``run_sweep`` bit
-    for bit.  Raises ``ConfigError``, before any work, on a cell above the
-    work bounds of a sweep cell (``_check_cell``).
+    Increment methods read exact synthetic measurements, from the warm-up
+    increment before t = 0 (to one past the horizon for theta3).  A pass of
+    one cell: equal to the cell of ``run_sweep`` bit for bit, and to the
+    step-by-step loop of the per-call functions to roundoff.  Raises
+    ``ConfigError``, before any work, on a cell beyond ``_check_cell``.
     """
     n = _step_count(dt, horizon)
     _check_cell(method, signal, dt, n)
-    return _propagate(method, signal, dt, n, jacobian_mode, {})
+    return _propagate(method, signal, [(dt, n)], jacobian_mode, {})[0]
 
 
 def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
     """Raise ``ConfigError`` if ``n`` steps of ``dt`` take more than
-    ``MAX_CELL_STEPS`` sensor intervals, or if a phase ``f t + p`` of the
-    signal is not finite at an end of ``[-h, (n m + 1) h]``, h = dt / m for
-    m minor steps: the span of the cell's increment grid, which covers the
-    times a rate-sample cell reads."""
+    ``MAX_CELL_STEPS`` sensor intervals, or if the increment over the first
+    or last interval of the cell's grid, whose span covers the times any
+    cell reads, is not finite on floats."""
     minor = method.minor_steps or 1
     if n * minor > MAX_CELL_STEPS:
         raise ConfigError(
             f"{method.label()} at dt={dt!r} needs {n * minor} sensor "
             f"intervals, above the per-cell cap of {MAX_CELL_STEPS}")
     h = dt / minor
-    if not all(abs(f * t + p) < math.inf for f, p in _sines(signal)
-               for t in (-h, (n * minor + 1) * h)):
+    try:
+        # Python floats overflow to inf without a warning.
+        finite = all(abs(x) < math.inf for k in (-1.0, float(n * minor))
+                     for x in _increment_xyz(signal, k * h, (k + 1.0) * h))
+    except ValueError:  # math.sin of an infinite phase
+        finite = False
+    if not finite:
         raise ConfigError(f"{method.label()} at dt={dt!r} takes the signal's "
-                          f"phase beyond the float range")
+                          f"phase or increment beyond the float range")
 
 
 def _grid_key(method: MethodId, dt: float, n: int):
-    """(interval width, interval count) of the increment grid a cell of
-    ``n`` steps reads, or None for a rate-sample method."""
+    """(width, count) of the intervals a cell reads; None for rate samples."""
     if method.uses_rate_samples:
         return None
     minor = method.minor_steps or 1
     return dt / minor, n * minor
 
 
-def _propagate(method: MethodId, signal, dt: float, n: int,
-               jacobian_mode: JacobianMode, grids: dict) -> np.ndarray:
-    """``propagate`` over ``n`` steps, reading increments from ``grids``.
-
-    ``grids`` maps a ``_grid_key`` to its ``_batch.IncrementGrid``; a grid
-    the cell needs and does not find is synthesized and added.
-    """
-    block = _batch.BLOCK
+def _propagate(method: MethodId, signal, cells, jacobian_mode: JacobianMode,
+               grids: dict) -> list:
+    """Final attitude of each cell ``(dt, n)`` of ``method``, in one pass;
+    a grid the cells need and do not find in ``grids`` (by ``_grid_key``)
+    is synthesized and added."""
+    minor = method.minor_steps or 1
     if method.uses_rate_samples:
-        produce = partial(_batch.rate_steps, signal, 0.0, dt,
+        produce = partial(_batch.rate_steps, signal, 0.0,
+                          [dt for dt, _ in cells],
                           _OMEGA_TABLEAUX[method.kind](), jacobian_mode)
-        return _batch.compose_steps(produce, n, block)
-    key = _grid_key(method, dt, n)
-    if key not in grids:
-        grids[key] = _batch.IncrementGrid(signal, *key)
-    if method.kind is MethodKind.TWO_SPEED_CLASSIC:
-        produce = partial(_batch.two_speed_steps, grids[key],
-                          method.minor_steps)
-        block = max(1, block // method.minor_steps)
     else:
-        produce = partial(_INCREMENT_STEPS[method.kind], grids[key])
-    return _batch.compose_steps(produce, n, block)
+        keys = [_grid_key(method, dt, n) for dt, n in cells]
+        for key in keys:
+            if key not in grids:
+                grids[key] = _batch.IncrementGrid(signal, *key)
+        cell_grids = [grids[key] for key in keys]
+        if method.kind is MethodKind.TWO_SPEED_CLASSIC:
+            produce = partial(_batch.two_speed_steps, cell_grids, minor)
+        else:
+            produce = partial(_INCREMENT_STEPS[method.kind], cell_grids)
+    return _batch.compose_steps(produce, [n for _, n in cells],
+                                max(1, _batch.BLOCK // minor))
 
 
 def estimate_order(records, floor: float = ERROR_FLOOR
@@ -286,8 +279,8 @@ def validate_config(cfg: SweepConfig) -> None:
 
     Besides the shape of the sweep this bounds its work: every value must be
     finite, no cell may propagate more than ``MAX_CELL_STEPS`` sensor
-    intervals or read a time at which the signal's phase is not finite, and
-    a step-doubled reference may not start above its budget of
+    intervals or read an increment that is not finite on floats, and a
+    step-doubled reference may not start above its budget of
     ``MAX_SUBSTEPS`` substeps.
     """
     if cfg.signal not in PRESET_NAMES:
@@ -324,23 +317,23 @@ def validate_config(cfg: SweepConfig) -> None:
         if start > MAX_SUBSTEPS:
             raise ConfigError(
                 f"the step-doubled reference over horizon {cfg.horizon!r} "
-                f"starts at {start} substeps, above its budget of "
+                f"starts at {start:.3g} substeps, above its budget of "
                 f"{MAX_SUBSTEPS}")
 
 
 def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     """Run every (method, dt) cell of the sweep and fit per-method orders.
 
-    The truth is computed once for the signal/horizon: closed form where
-    the signal has one, otherwise step-doubled.  Cells run step size by step
-    size and share their increment grids: each sensor interval is
-    synthesized once per sweep, and a grid is dropped after the last step
-    size that reads it.  A cell whose propagation raises a
-    ``ConingKitError`` gives no record; its summary lists ``(dt, reason)``
-    in ``failures``.  Order fits use the remaining records and exclude
-    those the truth cannot resolve: at or below ``ERROR_FLOOR`` against a
-    closed form, at or below ``REFERENCE_MARGIN`` times the tolerance
-    against the step-doubled reference.
+    The truth is computed once: closed form where the signal has one,
+    otherwise step-doubled.  Each method runs in one pass over all its step
+    sizes, retried one cell at a time if it raises a ``ConingKitError``; a
+    cell that raises alone gives no record, and its summary lists
+    ``(dt, reason)`` in ``failures``.  Methods share increment grids, each
+    dropped after the last method that reads it.  A record's ``wall_time``
+    is its share of its method's pass, in proportion to steps.  Order fits
+    exclude records the truth cannot resolve: at or below ``ERROR_FLOOR``
+    against a closed form, ``REFERENCE_MARGIN`` times the tolerance against
+    the step-doubled reference.
     """
     validate_config(cfg)
     signal = preset(cfg.signal)
@@ -352,40 +345,37 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         ref = reference_attitude(signal, 0.0, cfg.horizon, cfg.tolerance)
         floor = REFERENCE_MARGIN * cfg.tolerance
 
-    steps = [_step_count(dt, cfg.horizon) for dt in cfg.step_sizes]
-    last_read = {}
-    for i, (dt, n) in enumerate(zip(cfg.step_sizes, steps)):
-        for method in cfg.methods:
-            key = _grid_key(method, dt, n)
-            if key is not None:
-                last_read[key] = i
-
+    cells = [(dt, _step_count(dt, cfg.horizon)) for dt in cfg.step_sizes]
+    last_read = {_grid_key(method, dt, n): j
+                 for j, method in enumerate(cfg.methods) for dt, n in cells}
     grids = {}
-    records = [[] for _ in cfg.methods]
-    failures = [[] for _ in cfg.methods]
-    for i, (dt, n) in enumerate(zip(cfg.step_sizes, steps)):
-        for j, method in enumerate(cfg.methods):
-            start = time.perf_counter()
-            try:
-                final = _propagate(method, signal, dt, n, cfg.jacobian_mode,
-                                   grids)
-            except ConingKitError as exc:
-                failures[j].append((dt, f"{type(exc).__name__}: {exc}"))
-                continue
-            err = attitude_error_angle(final, ref)
-            records[j].append(ErrorRecord(
-                method=method, dt=dt, final_error_angle=err, steps=n,
-                wall_time=time.perf_counter() - start))
-        for key in [key for key, last in last_read.items() if last == i]:
-            grids.pop(key, None)
-
     summaries = []
-    for method, recs, failed in zip(cfg.methods, records, failures):
+    for j, method in enumerate(cfg.methods):
+        start = time.perf_counter()
+        finals, failed = {}, []
         try:
-            order, residual = estimate_order(recs, floor)
+            finals = dict(zip(cells, _propagate(
+                method, signal, cells, cfg.jacobian_mode, grids)))
+        except ConingKitError:
+            for cell in cells:
+                try:
+                    [finals[cell]] = _propagate(method, signal, [cell],
+                                                cfg.jacobian_mode, grids)
+                except ConingKitError as exc:
+                    failed.append((cell[0], f"{type(exc).__name__}: {exc}"))
+        share = (time.perf_counter() - start) / max(1, sum(
+            n for _, n in finals))
+        records = tuple(ErrorRecord(
+            method=method, dt=dt, final_error_angle=attitude_error_angle(
+                final, ref), steps=n, wall_time=n * share)
+            for (dt, n), final in finals.items())
+        for key in [key for key, last in last_read.items() if last == j]:
+            grids.pop(key, None)
+        try:
+            order, residual = estimate_order(records, floor)
         except InsufficientData:
             order, residual = None, None
         summaries.append(MethodSummary(
-            method=method, records=tuple(recs), order=order,
+            method=method, records=records, order=order,
             fit_residual=residual, failures=tuple(failed)))
     return ConvergenceReport(summaries=tuple(summaries))

@@ -36,6 +36,10 @@ class StageEvaluationError(ConingKitError):
         super().__init__(f"stage {stage} at t={self.time!r}: {detail}")
 
 
+class NonFiniteIncrement(ConingKitError, ValueError):
+    """The array engine read an increment that is not finite."""
+
+
 class DegenerateStep(ConingKitError):
     """Measurement window has a non-positive step interval."""
 

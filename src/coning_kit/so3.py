@@ -36,7 +36,8 @@ NEAR_PI_MARGIN = 1e-6
 SMALL_ANGLE = 1e-4
 
 #: Orthogonality defect above which ``compose`` projects its product onto
-#: SO(3): the package's only drift rule, applied by the engine once per block.
+#: SO(3): the package's only drift rule, applied by the engine once per
+#: segment of at most ``_batch.BLOCK`` steps.
 DRIFT_TOL = 1e-12
 
 

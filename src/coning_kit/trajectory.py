@@ -294,9 +294,9 @@ def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     from . import _batch
 
     h = (t1 - t0) / substeps
-    produce = partial(_batch.rate_steps, signal, t0, h, tableau_rk4(),
+    produce = partial(_batch.rate_steps, signal, t0, [h], tableau_rk4(),
                       JacobianMode.EXACT_CLOSED_FORM)
-    return _batch.compose_steps(produce, substeps)
+    return _batch.compose_steps(produce, [substeps])[0]
 
 
 def reference_substeps(signal: AnalyticAttitudeSignal, t0: float,
@@ -312,10 +312,10 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
 
     Integrates the rotation-vector ODE with the four-stage scheme and the
     exact Jacobian, re-zeroing the rotation vector each substep and
-    composing the per-substep DCMs.  Each refinement runs on the array
-    engine of ``bench.propagate``: substep rotation vectors in blocks, DCMs
-    multiplied in a pairwise tree, and drift checked once per block by
-    ``so3.compose`` as it folds the block's product onto the attitude.  The
+    composing the per-substep DCMs.  Each refinement is a pass of one cell
+    of the array engine of ``bench.propagate``: substep rotation vectors in
+    segments, DCMs multiplied in a pairwise tree, and drift checked once per
+    segment by ``so3.compose`` as it folds the product onto the attitude.  The
     substep is halved until successive refinements agree to within ``tol``
     (rad).  No refinement may use more than ``MAX_SUBSTEPS`` substeps:
     raises ``NoConvergence`` when the next one would, without starting it,

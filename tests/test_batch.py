@@ -73,6 +73,12 @@ def assert_rows_close(got, want, tol=ROW_TOL):
     assert float(np.max(np.abs(got - want))) <= tol * scale
 
 
+def rows_of(dphi):
+    """Producer of the rows of ``dphi`` for ``compose_steps``'s segments."""
+    return lambda segments: np.concatenate(
+        [dphi[k0:k1] for _, k0, k1 in segments])
+
+
 def random_rotation_vectors(rng, n, max_angle):
     direction = rng.normal(size=(n, 3))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
@@ -145,8 +151,8 @@ class TestBatching:
                 patch.setattr(_batch, "BLOCK", block)
                 results.append(
                     [_batch.synth_many(signal, t0, t1)]
-                    + [_batch.rate_steps(signal, 0.5, dt, factory(), mode,
-                                         3, 3 + n)
+                    + [_batch.rate_steps(signal, 0.5, [dt], factory(), mode,
+                                         [(0, 3, 3 + n)])
                        for factory in TABLEAUX for mode in JacobianMode])
         for one, batched in zip(*results):
             assert np.array_equal(one, batched)
@@ -203,30 +209,30 @@ class TestBatching:
         assert sum(intervals) <= 8300
 
     def test_no_grid_outlives_its_last_reader(self, monkeypatch):
-        # Each grid a cell finds must still be read at this step size or a
-        # later one; none may be left once the sweep is done.
+        # Each grid a method's pass finds must still be read by this method
+        # or a later one; none may be left once the sweep is done.
         cfg = SweepConfig(
             signal="poly3",
             methods=tuple(parse_method(m) for m in (
                 "theta2", "twospeed2", "theta3", "twospeed4", "rk4omega")),
             step_sizes=tuple(0.5 * 2.0 ** -k for k in range(5)),
             horizon=2.0)
-        readers = {(dt / (m.minor_steps or 1),
-                    round(cfg.horizon / dt) * (m.minor_steps or 1)): dt
-                   for dt in cfg.step_sizes for m in cfg.methods
-                   if not m.uses_rate_samples}
+        last_reader = {(dt / (m.minor_steps or 1),
+                        round(cfg.horizon / dt) * (m.minor_steps or 1)): j
+                       for j, m in enumerate(cfg.methods)
+                       for dt in cfg.step_sizes if not m.uses_rate_samples}
         seen = []
-        propagate_cell = bench._propagate
+        propagate_pass = bench._propagate
 
-        def checked(method, signal, dt, n, mode, grids):
+        def checked(method, signal, cells, mode, grids):
             for key in grids:
-                assert readers[key] <= dt
+                assert last_reader[key] >= cfg.methods.index(method)
             seen.append(grids)
-            return propagate_cell(method, signal, dt, n, mode, grids)
+            return propagate_pass(method, signal, cells, mode, grids)
 
         monkeypatch.setattr(bench, "_propagate", checked)
         run_sweep(cfg)
-        assert len(seen) == 25 and seen[-1] == {}
+        assert len(seen) == 5 and seen[-1] == {}
 
 
 class TestIncrementGrid:
@@ -261,7 +267,7 @@ class TestRateSteps:
         dt = float(10.0 ** rng.uniform(-3.0, -1.5))
         k0 = int(rng.integers(0, 10))
         k1 = k0 + int(rng.integers(1, 12))
-        got = _batch.rate_steps(signal, t0, dt, tab, mode, k0, k1)
+        got = _batch.rate_steps(signal, t0, [dt], tab, mode, [(0, k0, k1)])
         for k, row in zip(range(k0, k1), got):
             want = integrate_attitude_step(
                 lambda t: omega_at(signal, t), t0 + k * dt, dt, tab, mode)
@@ -287,13 +293,13 @@ class TestRateSteps:
         if tab.n == 1:
             # Forward Euler evaluates only at phi = 0, never out of domain.
             assert expected is None
-            _batch.rate_steps(signal, 0.0, dt, tab,
-                              JacobianMode.EXACT_CLOSED_FORM, 0, 40)
+            _batch.rate_steps(signal, 0.0, [dt], tab,
+                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 40)])
             return
         assert isinstance(expected.__cause__, AngleOutOfDomain)
         with pytest.raises(StageEvaluationError) as info:
-            _batch.rate_steps(signal, 0.0, dt, tab,
-                              JacobianMode.EXACT_CLOSED_FORM, 0, 40)
+            _batch.rate_steps(signal, 0.0, [dt], tab,
+                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 40)])
         assert isinstance(info.value.__cause__, AngleOutOfDomain)
         assert (info.value.stage, info.value.time) == \
             (expected.stage, expected.time)
@@ -308,8 +314,8 @@ class TestRateSteps:
             integrate_attitude_step(lambda t: omega_at(signal, t), 0.0, 8.0,
                                     tab)
         with pytest.raises(StageEvaluationError) as array:
-            _batch.rate_steps(signal, 0.0, 8.0, tab,
-                              JacobianMode.EXACT_CLOSED_FORM, 0, 2)
+            _batch.rate_steps(signal, 0.0, [8.0], tab,
+                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 2)])
         assert str(array.value) == str(scalar.value)
         assert str(scalar.value).startswith("stage 3 at t=8.0: angle ")
         assert type(array.value.time) is float
@@ -377,12 +383,13 @@ class TestCorrections:
                 want.append(two_speed_classic(
                     [inc(k * minor + j, sub) for j in range(minor)],
                     inc(k * minor - 1, sub)))
+        segments = [(0, k0, k1)]
         if name == "two_speed":
-            grid = _batch.IncrementGrid(signal, dt / minor, k1 * minor)
-            got = _batch.two_speed_steps(grid, minor, k0, k1)
+            grids = [_batch.IncrementGrid(signal, dt / minor, k1 * minor)]
+            got = _batch.two_speed_steps(grids, minor, segments)
         else:
-            grid = _batch.IncrementGrid(signal, dt, k1)
-            got = getattr(_batch, f"{name}_steps")(grid, k0, k1)
+            grids = [_batch.IncrementGrid(signal, dt, k1)]
+            got = getattr(_batch, f"{name}_steps")(grids, segments)
         for g, w in zip(got, want):
             if kind == "poly":
                 assert np.array_equal(g, w)
@@ -473,8 +480,31 @@ class TestComposer:
         for row in dphi:
             want = compose(dcm_from_rotation_vector(row), want)
         for block in (1, 4, 2048):
-            got = _batch.compose_steps(lambda k0, k1: dphi[k0:k1], n, block)
+            [got] = _batch.compose_steps(rows_of(dphi), [n], block)
             assert attitude_error_angle(got, want) <= CHAIN_TOL * n
+
+    @given(seed=seeds, block=st.integers(min_value=1, max_value=16),
+           steps=st.lists(st.integers(min_value=1, max_value=40),
+                          min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_a_pass_of_several_cells_equals_each_cell_alone(self, seed,
+                                                            block, steps):
+        # Segments of several cells share calls of at most ``block`` rows;
+        # each cell's attitude is bitwise the one of a pass of its own.
+        rng = np.random.default_rng(seed)
+        dphi = [random_rotation_vectors(rng, n, 0.3) for n in steps]
+        rows = []
+
+        def produce(segments):
+            rows.append(sum(k1 - k0 for _, k0, k1 in segments))
+            return np.concatenate([dphi[c][k0:k1] for c, k0, k1 in segments])
+
+        together = _batch.compose_steps(produce, steps, block)
+        assert max(rows) <= block
+        assert len(rows) <= sum(-(-n // block) for n in steps)
+        for cell, n in zip(dphi, steps):
+            [alone] = _batch.compose_steps(rows_of(cell), [n], block)
+            assert np.array_equal(together.pop(0), alone)
 
     def test_drift_is_projected(self):
         # Scaled by 1 + 1e-9, each factor's defect exceeds the threshold.
@@ -510,7 +540,7 @@ class TestComposer:
         dphi = random_rotation_vectors(rng, 2 * n, 0.3)
         dphi[n + 1, 0] = np.nan
         with pytest.raises(NotNearOrthogonal):
-            _batch.compose_steps(lambda k0, k1: dphi[k0:k1], 2 * n, n)
+            _batch.compose_steps(rows_of(dphi), [2 * n], n)
 
     @given(seed=seeds, max_angle=st.sampled_from([1e-6, 1e-3, 0.3, 3.1]))
     @settings(max_examples=25, deadline=None)
@@ -598,7 +628,7 @@ class TestAgainstNumpy:
         def f(t, phi):
             return jinv(phi, mode) @ omega_at(signal, t)
 
-        got = _batch.rate_steps(signal, 0.0, dt, tab, mode, 0, 6)
+        got = _batch.rate_steps(signal, 0.0, [dt], tab, mode, [(0, 0, 6)])
         for k, row in enumerate(got):
             assert_rows_close(row, rk_step(f, k * dt, np.zeros(3), dt, tab))
 

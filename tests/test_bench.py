@@ -1,19 +1,25 @@
 import dataclasses
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coning_kit import bench
+from coning_kit import _batch, bench
 from coning_kit.bench import (ERROR_FLOOR, MAX_CELL_STEPS, ErrorRecord,
                               MethodId, MethodKind, SweepConfig,
                               estimate_order, propagate, run_sweep,
                               validate_config)
 from coning_kit.cli import parse_method
-from coning_kit.errors import ConfigError, InsufficientData
+from coning_kit.errors import (ConfigError, ConingKitError, InsufficientData,
+                               NonFiniteIncrement)
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import attitude_error_angle, dcm_from_rotation_vector
-from coning_kit.trajectory import (MAX_SUBSTEPS, PolynomialRate,
-                                   exact_attitude, preset, reference_attitude)
+from coning_kit.trajectory import (MAX_SUBSTEPS, PRESET_NAMES,
+                                   PolynomialRate, exact_attitude, preset,
+                                   reference_attitude)
 
 DEFAULT_DTS = tuple(0.25 * 2.0 ** -k for k in range(7))
 ALL_EIGHT = ("fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
@@ -117,19 +123,30 @@ class TestPropagate:
          "cap"),
         (MethodId(MethodKind.TWO_SPEED_CLASSIC, 4), "poly3", 2.0 ** -19,
          1.0, "twospeed4"),
-    ], ids=["phase", "fourier-phase", "steps", "two-speed-intervals"])
+        (MethodId(MethodKind.SINGLE_SPEED_THETA2), "poly3", 1e100, 1e100,
+         "increment"),
+        (MethodId(MethodKind.RK4_THETA2), "poly3", 1e100, 1e100,
+         "increment"),
+        (MethodId(MethodKind.RK4_OMEGA), "poly3", 1e100, 1e100,
+         "increment"),
+    ], ids=["phase", "fourier-phase", "steps", "two-speed-intervals",
+            "poly-theta2", "poly-rk4theta2", "poly-rk4omega"])
     def test_applies_the_sweep_cell_bounds(self, method, signal, dt,
                                            horizon, named, monkeypatch):
         # A coning or Fourier phase that overflows at the grid's last
         # endpoint, 2^21 steps and 2^21 sensor intervals once ran unbounded
-        # here: no grid or composer may start.
+        # here: no grid or composer may start.  A 1e100 s step of poly3
+        # once overflowed inside the engine, with warnings, into a NaN
+        # defect or a bare ValueError; on floats the check warns of nothing.
         def no_work(*args, **kwargs):
             raise AssertionError("propagation started")
 
         monkeypatch.setattr(bench._batch, "IncrementGrid", no_work)
         monkeypatch.setattr(bench._batch, "compose_steps", no_work)
-        with pytest.raises(ConfigError, match=named):
-            propagate(method, preset(signal), dt, horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=named):
+                propagate(method, preset(signal), dt, horizon)
 
 
 class TestValidateConfig:
@@ -340,3 +357,117 @@ class TestRunSweep:
                                  "angle ")
         assert rk4.order == estimate_order(rk4.records,
                                            10 * cfg.tolerance)[0]
+
+
+#: Methods the pass tests draw from: every kind, and a two-speed count that
+#: is not a power of two.
+PASS_METHODS = ALL_EIGHT.split(",") + ["twospeed3"]
+
+#: (step sizes, horizon): dyadic, whose cells of 4 to 32 steps fit one
+#: 64-row call together, and non-dyadic, whose ratios are not powers of two.
+PASS_GRIDS = [((0.25, 0.125, 0.0625, 0.03125), 1.0),
+              ((0.3, 0.2, 0.12, 0.1), 1.2)]
+
+
+class TestOnePassPerMethod:
+    """A sweep runs each method in one pass over all its step sizes."""
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_records_equal_per_cell_propagate_for_any_block(self, data):
+        # A small BLOCK cuts cells into several segments; a larger one packs
+        # several cells into one call.  Either way each record is bit for
+        # bit that of the cell propagated alone.
+        block = data.draw(st.integers(min_value=1, max_value=64))
+        signal = data.draw(st.sampled_from(PRESET_NAMES))
+        names = data.draw(st.lists(st.sampled_from(PASS_METHODS), min_size=1,
+                                   max_size=4, unique=True))
+        dts, horizon = data.draw(st.sampled_from(PASS_GRIDS))
+        dts = tuple(sorted(data.draw(st.sets(st.sampled_from(dts),
+                                             min_size=1)), reverse=True))
+        cfg = SweepConfig(signal=signal,
+                          methods=tuple(parse_method(m) for m in names),
+                          step_sizes=dts, horizon=horizon)
+        sig = preset(signal)
+        truth = exact_attitude(sig, horizon)
+        # Any fixed attitude serves as the reference of a bitwise check.
+        ref = (truth @ exact_attitude(sig, 0.0).T if truth is not None
+               else dcm_from_rotation_vector(np.array([0.1, -0.2, 0.3])))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_batch, "BLOCK", block)
+            patch.setattr(bench, "reference_attitude", lambda *args: ref)
+            report = run_sweep(cfg)
+            assert len(report.records()) == len(cfg.methods) * len(dts)
+            for rec in report.records():
+                final = propagate(rec.method, sig, rec.dt, horizon)
+                assert rec.final_error_angle == \
+                    attitude_error_angle(final, ref)
+
+    def test_failing_cell_inside_a_packed_call(self, monkeypatch):
+        # rk4omega at dt = 8 leaves the Jacobian's domain.  With BLOCK = 8
+        # its 2 steps share a call with the 4 steps at dt = 4: the pass
+        # raises, each cell runs alone, and the failure reads as it does
+        # when the cell has a call to itself.
+        cfg = SweepConfig(signal="fourier3",
+                          methods=(MethodId(MethodKind.FWD_EULER_OMEGA),
+                                   MethodId(MethodKind.RK4_OMEGA)),
+                          step_sizes=(8.0, 4.0, 2.0, 1.0), horizon=16.0)
+        alone = run_sweep(cfg).summaries[1].failures
+        calls = []
+        rate_steps = _batch.rate_steps
+
+        def spied(signal, t0, dts, tab, mode, segments):
+            calls.append([(dts[c], k1 - k0) for c, k0, k1 in segments])
+            return rate_steps(signal, t0, dts, tab, mode, segments)
+
+        monkeypatch.setattr(_batch, "BLOCK", 8)
+        monkeypatch.setattr(_batch, "rate_steps", spied)
+        euler, rk4 = run_sweep(cfg).summaries
+        assert [(8.0, 2), (4.0, 4)] in calls
+        assert rk4.failures == alone
+        [(dt, reason)] = rk4.failures
+        assert dt == 8.0
+        assert reason.startswith("StageEvaluationError: stage 3 at t=8.0: "
+                                 "angle ")
+        assert [r.dt for r in euler.records] == [8.0, 4.0, 2.0, 1.0]
+        assert [r.dt for r in rk4.records] == [4.0, 2.0, 1.0]
+        ref = reference_attitude(preset("fourier3"), 0.0, 16.0, 1e-12)
+        for rec in euler.records + rk4.records:
+            final = propagate(rec.method, preset("fourier3"), rec.dt, 16.0)
+            assert rec.final_error_angle == attitude_error_angle(final, ref)
+
+    def test_non_finite_increments_fail_their_cells(self, monkeypatch):
+        # The engine's own finiteness check raises a ConingKitError, which
+        # the sweep records per cell instead of stopping.
+        assert issubclass(NonFiniteIncrement, ConingKitError)
+        assert issubclass(NonFiniteIncrement, ValueError)
+
+        def infinite(signal, t0, t1):
+            return np.full((t0.size, 3), np.inf)
+
+        monkeypatch.setattr(_batch, "synth_many", infinite)
+        cfg = SweepConfig(signal="coning",
+                          methods=tuple(parse_method(m) for m in (
+                              "rk4theta2", "fwdeuler", "theta3")),
+                          step_sizes=(0.25, 0.125), horizon=1.0)
+        theta2, euler, theta3 = run_sweep(cfg).summaries
+        reason = "NonFiniteIncrement: increments must be finite"
+        for summary in (theta2, theta3):
+            assert summary.records == ()
+            assert summary.failures == ((0.25, reason), (0.125, reason))
+        assert len(euler.records) == 2 and euler.failures == ()
+
+    def test_wall_time_is_each_cells_share_of_its_pass(self):
+        cfg = SweepConfig(signal="coning",
+                          methods=tuple(parse_method(m) for m in (
+                              "rk4omega", "theta3", "twospeed4")),
+                          step_sizes=DEFAULT_DTS[:4], horizon=1.0)
+        start = time.perf_counter()
+        report = run_sweep(cfg)
+        wall = time.perf_counter() - start
+        for summary in report.summaries:
+            assert all(r.wall_time > 0.0 for r in summary.records)
+            per_step = [r.wall_time / r.steps for r in summary.records]
+            assert per_step == pytest.approx([per_step[0]] * len(per_step),
+                                             rel=1e-12)
+        assert sum(r.wall_time for r in report.records()) <= wall

@@ -184,6 +184,21 @@ class TestSweepCommand:
         assert err.startswith("error: ") and named in err
         assert len(err) < 1024
 
+    @pytest.mark.parametrize("signal, span, named", [
+        ("poly3", "1e308", "increment"),
+        ("fourier3", "1e307", "starts at 2.24e+307 substeps"),
+    ], ids=["poly3-increment", "fourier3-reference-budget"])
+    def test_huge_spans_rejected_in_one_short_line(self, signal, span, named,
+                                                   tmp_path, capsys):
+        # Each once printed the reference's exact start, a 309-digit
+        # integer for poly3; its increment now fails first, in floats.
+        assert run_cli(["sweep", "--signal", signal, "--methods", "theta2",
+                        "--dts", span, "--horizon", span,
+                        "--output", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_failed_cell_reported_and_skipped(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert run_cli(["sweep", "--signal", "fourier3",
