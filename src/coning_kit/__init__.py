@@ -19,8 +19,7 @@ from .errors import (AngleOutOfDomain, ConfigError, ConingKitError,
                      DegenerateStep, EmptyWindow, InsufficientData,
                      NearPiRotation, NoConvergence, NotNearOrthogonal,
                      NotSkewSymmetric, SingularSystem, StageEvaluationError)
-from .kinematics import (JacobianMode, bortz_rhs, forward_jacobian, jinv,
-                         jinv_coefficient)
+from .kinematics import JacobianMode, bortz_rhs, jinv, jinv_coefficient
 from .rate_model import (MeasurementWindow, RatePolynomial, RkNodeSamples,
                          eval_rate, fit_affine, fit_polynomial, fit_quadratic,
                          rk_node_samples_affine, rk_node_samples_quadratic)

@@ -24,14 +24,13 @@ a cell's segments do not depend on the rest of its pass, so a cell's
 attitude is bitwise the same alone or in any pass.
 
 Each array function shares the kernel of the per-call function it replaces
-(``coning``, ``so3._dcm_entries``, ``kinematics._apply_jacobian``,
-``trajectory._rate_xyz`` and ``_increment_xyz``) on (n,) columns; rows are
-the transpose of a ``(3, n)`` array (``_rows``), so ``rows.T`` hands the
-kernels contiguous columns.  Results differ from a scalar loop in the last
-bits where numpy's sin, cos and 3x3 products round differently, where the
-cone's closed-form rate stands in for ``omega_at``'s inversion of ``jinv``,
-and where the tree regroups the product; ``tests/test_batch.py`` holds each
-array function to its scalar oracle within a stated tolerance.
+(``coning``, ``so3._dcm_entries``, ``kinematics._apply_jacobian`` and the
+two forms of ``c``, ``trajectory._rate_xyz`` and ``_increment_xyz``) on
+(n,) columns; rows are the transpose of a ``(3, n)`` array (``_rows``), so
+``rows.T`` hands the kernels contiguous columns.  Results differ from a
+scalar loop in the last bits where numpy's sin, cos and 3x3 products round
+differently and where the tree regroups the product; ``tests/test_batch.py``
+holds each array function to its scalar oracle within a stated tolerance.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from .coning import (_miller_beta, _rk4_theta2_beta, _rk4_theta3_beta,
                      _two_speed_phi)
 from .errors import (AngleOutOfDomain, NonFiniteIncrement,
                      StageEvaluationError)
-from .kinematics import (_C_TAYLOR, _SERIES_BRANCH, MAX_ANGLE, JacobianMode,
-                         _apply_jacobian)
+from .kinematics import (MAX_ANGLE, JacobianMode, _apply_jacobian,
+                         _coefficient_series, _coefficient_trig)
 from .so3 import SMALL_ANGLE, _dcm_entries, compose
 from .trajectory import _increment_xyz, _rate_xyz
 
@@ -78,23 +77,14 @@ def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
 
 
 def jinv_coefficients(angle: np.ndarray) -> np.ndarray:
-    """``kinematics.jinv_coefficient`` of every angle, branch for branch;
-    NaN, instead of raising, for an angle outside ``[0, MAX_ANGLE)``."""
+    """``kinematics.jinv_coefficient`` of every angle, form for form; NaN,
+    instead of raising, for an angle outside ``[0, MAX_ANGLE)``."""
     c = np.full(angle.shape, np.nan)
-    series = angle < _SERIES_BRANCH
-    taylor = (angle >= _SERIES_BRANCH) & (angle < 1.0)
+    series = (angle >= 0.0) & (angle < 1.0)
     trig = (angle >= 1.0) & (angle < MAX_ANGLE)
     a = angle[series]
-    c[series] = (1.0 + a * a / 60.0) / 12.0
-    a = angle[taylor]
-    a2 = a * a
-    acc = np.zeros_like(a)
-    for coef in reversed(_C_TAYLOR):
-        acc = acc * a2 + coef
-    c[taylor] = acc
-    a = angle[trig]
-    half = 0.5 * a
-    c[trig] = (1.0 - half * np.cos(half) / np.sin(half)) / (a * a)
+    c[series] = _coefficient_series(a * a)
+    c[trig] = _coefficient_trig(angle[trig], np)
     return c
 
 

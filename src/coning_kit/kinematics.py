@@ -8,11 +8,11 @@ equation::
     phi_dot = omega + 1/2 phi x omega + c(|phi|) phi x (phi x omega)
 
 with ``c(a) = (1/a^2) (1 - a sin(a) / (2 (1 - cos(a))))``.  Its arithmetic
-is written once, in ``_apply_jacobian``, for the per-call functions on
-floats and the array engine on columns; the branches of ``c`` stay outside
-it, in ``jinv_coefficient`` and its masked form ``_batch.jinv_coefficients``.
-``forward_jacobian`` inverts ``jinv``.  Only ``trajectory.omega_at`` of the
-cone uses it, as the oracle of the cone's closed-form rate.
+is written once, in ``_apply_jacobian``, and so is each of the two forms of
+``c``, in ``_coefficient_series`` below 1 rad and ``_coefficient_trig``
+from there: each for the per-call functions on floats and for the array
+engine on columns.  ``jinv_coefficient`` picks the form of one angle, and
+``_batch.jinv_coefficients`` masks a column by the same rule.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ _EYE3 = np.eye(3)
 #: The coefficient c has a genuine pole at 2*pi; the usable domain stops
 #: short of it.  Integration steps never approach this bound.
 MAX_ANGLE = 2.0 * math.pi - 1e-3
-
-_SERIES_BRANCH = 1e-3
 
 # Taylor coefficients of c(a) in powers of a^2, exact rationals rounded to
 # double.  Through a^20 the truncation error is below 1e-16 relative for
@@ -62,26 +60,34 @@ def jinv_coefficient(angle: float) -> float:
     """Coefficient of the ``phi x (phi x omega)`` term of the Bortz equation.
 
     Evaluates ``c(a) = (1/a^2)(1 - a sin(a) / (2 (1 - cos(a))))``; the limit
-    at zero is 1/12 and ``c(pi) = 1/pi^2``.  Below 1e-3 the two-term series
-    ``(1/12)(1 + a^2/60)`` is returned; between 1e-3 and 1 an extended Taylor
-    series keeps full precision (the trig form cancels catastrophically
-    there); beyond 1 the half-angle cotangent form is used.
+    at zero is 1/12 and ``c(pi) = 1/pi^2``.  Below 1 rad the Taylor series
+    in ``a^2`` keeps full precision (the trig form cancels catastrophically
+    there); from 1 rad the half-angle cotangent form is used.
 
     Raises ``AngleOutOfDomain`` unless ``0 <= angle < 2*pi - 1e-3``.
     """
     if not (0.0 <= angle < MAX_ANGLE):
         raise AngleOutOfDomain(
             f"angle {angle!r} outside [0, {MAX_ANGLE!r}) rad")
-    if angle < _SERIES_BRANCH:
-        return (1.0 + angle * angle / 60.0) / 12.0
-    a2 = angle * angle
     if angle < 1.0:
-        acc = 0.0
-        for coef in reversed(_C_TAYLOR):
-            acc = acc * a2 + coef
-        return acc
-    half = 0.5 * angle
-    return (1.0 - half * math.cos(half) / math.sin(half)) / a2
+        return _coefficient_series(angle * angle)
+    return _coefficient_trig(angle, math)
+
+
+def _coefficient_series(a2):
+    """``c`` by Horner's rule of ``_C_TAYLOR`` in ``a^2``, for angles below
+    1 rad; on floats or columns."""
+    acc = 0.0
+    for coef in reversed(_C_TAYLOR):
+        acc = acc * a2 + coef
+    return acc
+
+
+def _coefficient_trig(a, lib):
+    """``c`` in half-angle form, for angles from 1 rad to ``MAX_ANGLE``;
+    floats with ``lib=math``, columns with ``lib=np``."""
+    half = 0.5 * a
+    return (1.0 - half * lib.cos(half) / lib.sin(half)) / (a * a)
 
 
 def jinv(phi: np.ndarray,
@@ -100,32 +106,6 @@ def jinv(phi: np.ndarray,
         c = 1.0 / 12.0
     w = wedge(phi)
     return _EYE3 + 0.5 * w + c * (w @ w)
-
-
-def _inv3(m: np.ndarray) -> np.ndarray:
-    """Inverse of a well-conditioned 3x3 matrix via the adjugate."""
-    a, b, c = float(m[0, 0]), float(m[0, 1]), float(m[0, 2])
-    d, e, f = float(m[1, 0]), float(m[1, 1]), float(m[1, 2])
-    g, h, i = float(m[2, 0]), float(m[2, 1]), float(m[2, 2])
-    ca = e * i - f * h
-    cb = f * g - d * i
-    cc = d * h - e * g
-    det = a * ca + b * cb + c * cc
-    return np.array([
-        [ca / det, (c * h - b * i) / det, (b * f - c * e) / det],
-        [cb / det, (a * i - c * g) / det, (c * d - a * f) / det],
-        [cc / det, (b * g - a * h) / det, (a * e - b * d) / det],
-    ])
-
-
-def forward_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Right-Jacobian ``J`` with ``omega = J @ phi_dot``.
-
-    No closed form is used: the matrix is the direct 3x3 inverse of
-    ``jinv(phi)``, which removes any sign-convention risk.  Same angle
-    domain as the exact inverse.
-    """
-    return _inv3(jinv(phi, JacobianMode.EXACT_CLOSED_FORM))
 
 
 def bortz_rhs(phi: np.ndarray, omega: np.ndarray,

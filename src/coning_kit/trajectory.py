@@ -20,8 +20,8 @@ once, in ``_increment_xyz``: on Python floats for ``omega_at`` and
 ``synth_delta_theta``, and on columns for the array engine's ``_batch``.
 The polynomial and Fourier rates keep the operations and their order of the
 numpy forms that are their oracles in the tests, so ``omega_at`` agrees
-with them bit for bit.  ``omega_at`` of the cone does not use the closed
-form: it inverts ``kinematics.jinv``, and is the closed form's oracle.
+with them bit for bit; the tests hold the cone's closed form to
+``J(phi) @ phi_dot``, solved from ``kinematics.jinv``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NoConvergence
-from .kinematics import JacobianMode, forward_jacobian
+from .errors import NoConvergence, StageEvaluationError
+from .kinematics import JacobianMode
 from .rate_model import RatePolynomial
 from .rk import tableau_rk4
 from .so3 import attitude_error_angle, dcm_from_rotation_vector
@@ -159,15 +159,6 @@ def preset(name: str) -> AnalyticAttitudeSignal:
         f"{', '.join(PRESET_NAMES)}")
 
 
-def _coning_phi_and_rate(signal: ConingRotationVector, t: float):
-    a = signal.cone_angle
-    w = signal.precession_rate
-    cw, sw = math.cos(w * t), math.sin(w * t)
-    phi = np.array([a * cw, a * sw, 0.0])
-    phi_dot = np.array([-a * w * sw, a * w * cw, 0.0])
-    return phi, phi_dot
-
-
 def _rate_xyz(signal: AnalyticAttitudeSignal, t, lib=math):
     """Components ``(wx, wy, wz)`` of ``omega_at(signal, t)``.
 
@@ -247,11 +238,6 @@ def _sines(signal: AnalyticAttitudeSignal) -> list:
 
 def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
     """Angular velocity of the signal at time ``t`` (exact closed form)."""
-    if isinstance(signal, ConingRotationVector):
-        # The inverse of jinv, kept as the oracle of the closed-form cone
-        # rate of _rate_xyz.
-        phi, phi_dot = _coning_phi_and_rate(signal, t)
-        return forward_jacobian(phi) @ phi_dot
     return np.array(_rate_xyz(signal, t))
 
 
@@ -262,8 +248,9 @@ def exact_attitude(signal: AnalyticAttitudeSignal, t: float):
     ``None`` (use ``reference_attitude`` for those).
     """
     if isinstance(signal, ConingRotationVector):
-        phi, _ = _coning_phi_and_rate(signal, t)
-        return dcm_from_rotation_vector(phi)
+        a, wt = signal.cone_angle, signal.precession_rate * t
+        return dcm_from_rotation_vector(
+            np.array([a * math.cos(wt), a * math.sin(wt), 0.0]))
     return None
 
 
@@ -317,9 +304,12 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     segments, DCMs multiplied in a pairwise tree, and drift checked once per
     segment by ``so3.compose`` as it folds the product onto the attitude.  The
     substep is halved until successive refinements agree to within ``tol``
-    (rad).  No refinement may use more than ``MAX_SUBSTEPS`` substeps:
-    raises ``NoConvergence`` when the next one would, without starting it,
-    and ``ValueError`` unless ``tol >= 1e-13`` (NaN included).  The
+    (rad).  A refinement with a stage outside the exact Jacobian's domain
+    (``StageEvaluationError``) gives no attitude to compare: the substep is
+    halved again.  No refinement may use more than ``MAX_SUBSTEPS``
+    substeps: raises ``NoConvergence``, chained to the last stage error if
+    any, when the next one would, without starting it, and ``ValueError``
+    unless ``tol >= 1e-13`` (NaN included).  The
     returned matrix is the rotation relative to the attitude at ``t0``
     (identity initial condition).  Raises ``ValueError`` unless ``t1 > t0``
     and the width ``t1 - t0`` is finite.
@@ -332,13 +322,18 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
         raise NoConvergence(
             f"reference needs {n} substeps to start, above the budget of "
             f"{MAX_SUBSTEPS}")
-    prev = _rk4_attitude(signal, t0, t1, n)
-    while 2 * n <= MAX_SUBSTEPS:
-        n *= 2
-        curr = _rk4_attitude(signal, t0, t1, n)
-        if attitude_error_angle(curr, prev) <= tol:
-            return curr
+    prev = error = None
+    while True:
+        try:
+            curr = _rk4_attitude(signal, t0, t1, n)
+        except StageEvaluationError as exc:
+            curr, error = None, exc
+        else:
+            if prev is not None and attitude_error_angle(curr, prev) <= tol:
+                return curr
+        if 2 * n > MAX_SUBSTEPS:
+            raise NoConvergence(
+                f"reference refinement did not reach {tol!r} rad within the "
+                f"budget of {MAX_SUBSTEPS} substeps") from error
         prev = curr
-    raise NoConvergence(
-        f"reference refinement did not reach {tol!r} rad within the budget "
-        f"of {MAX_SUBSTEPS} substeps")
+        n *= 2

@@ -1,15 +1,22 @@
+import contextlib
 import csv
+import io
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from coning_kit import bench
+from coning_kit import bench, cli
 from coning_kit.bench import MethodId, MethodKind
 from coning_kit.cli import parse_method, run_cli
-from coning_kit.errors import ConfigError
+from coning_kit.errors import ConfigError, NoConvergence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -226,6 +233,18 @@ class TestSweepCommand:
         assert "rk4omega dt=8.0: failed: " in err
         assert "every cell" in err
 
+    def test_reference_refines_past_stages_out_of_domain(self, capsys):
+        # poly3 over 16 s: the reference's first refinements take rk4
+        # stages beyond the Jacobian's domain near t = 11 s.  They give no
+        # attitude, and the refinement halves past them instead of failing
+        # the sweep.
+        assert run_cli(["sweep", "--signal", "poly3", "--methods", "theta2",
+                        "--horizon", "16", "--dt-max", "0.5",
+                        "--halvings", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == [
+            "0.5", "0.25", "0.125", "0.0625"]
+
     def test_stdout_output(self, capsys):
         assert run_cli(["sweep", "--signal", "poly3", "--methods", "exmid",
                         "--dts", "0.25", "--horizon", "0.5"]) == 0
@@ -286,3 +305,78 @@ def test_python_dash_m(flags, code):
             "method,jacobian_mode,dt,steps,final_error_rad,wall_time_s\n")
     else:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
+_PLAIN_METHODS = tuple(kind.value for kind in MethodKind
+                       if kind is not MethodKind.TWO_SPEED_CLASSIC)
+
+_FAILED_CELL = re.compile(r"^(\S+) dt=(\S+): failed: ", re.MULTILINE)
+
+
+@given(signal=st.sampled_from(("coning", "fourier3", "poly3")),
+       methods=st.lists(st.one_of(
+           st.sampled_from(_PLAIN_METHODS),
+           st.integers(1, 4).map(lambda m: f"twospeed{m}")),
+           min_size=1, max_size=3, unique=True),
+       coarsest=st.sampled_from((0.5, 0.25, 0.3, 0.1)),
+       ladder=st.one_of(
+           st.integers(0, 4),
+           st.lists(st.sampled_from((1.5, 2, 2.5, 3, 5, 7)), max_size=3,
+                    unique=True).map(lambda ds: (1, *ds))),
+       multiple=st.integers(1, 32),
+       tolerance=st.floats(-13.0, -8.0).map(lambda e: 10.0 ** e))
+@example(signal="poly3", methods=["theta2"], coarsest=0.5, ladder=3,
+         multiple=32, tolerance=1e-12)
+@settings(max_examples=60, deadline=None)
+def test_sweep_outcome_over_whole_configs(signal, methods, coarsest, ladder,
+                                          multiple, tolerance):
+    # Any such sweep ends one of three ways: every cell recorded or listed
+    # as failed (exit 0, or 2 when none was recorded); a ConfigError before
+    # any propagation; or a reference that cannot converge.  A halvings
+    # count is a dyadic ladder from --dt-max; a tuple of divisors d gives
+    # the step sizes coarsest / d through --dts, in the drawn order, and
+    # some of them do not divide the horizon.
+    if isinstance(ladder, int):
+        dts = [coarsest * 2.0 ** -k for k in range(ladder + 1)]
+        steps = ["--dt-max", repr(coarsest), "--halvings", str(ladder)]
+    else:
+        dts = [coarsest / d for d in ladder]
+        steps = ["--dts", ",".join(map(repr, dts))]
+    args = ["sweep", "--signal", signal, "--methods", ",".join(methods),
+            *steps, "--horizon", repr(multiple * coarsest),
+            "--tolerance", repr(tolerance)]
+    propagated, raised = [], []
+    propagate, cmd_sweep = bench._propagate, cli._cmd_sweep
+
+    def counted(*a):
+        propagated.append(a)
+        return propagate(*a)
+
+    def recorded(a):
+        try:
+            return cmd_sweep(a)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(bench, "_propagate", counted), \
+            mock.patch.object(cli, "_cmd_sweep", recorded), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(args)
+    event(type(raised[0]).__name__ if raised else f"exit {code}")
+    if raised:
+        assert code == 2
+        if isinstance(raised[0], ConfigError):
+            assert not propagated
+        else:
+            assert isinstance(raised[0], NoConvergence), err.getvalue()
+        return
+    records = [(row[0], row[2])
+               for row in csv.reader(out.getvalue().splitlines()[1:])]
+    failed = _FAILED_CELL.findall(err.getvalue())
+    cells = [(parse_method(m).label(), repr(dt)) for m in methods for dt in dts]
+    assert sorted(records + failed) == sorted(cells)
+    assert code == (0 if records else 2)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from coning_kit import _batch, trajectory
 from coning_kit.coning import affine_coning_oracle
-from coning_kit.errors import NoConvergence
-from coning_kit.kinematics import forward_jacobian, jinv
+from coning_kit.errors import NoConvergence, StageEvaluationError
+from coning_kit.kinematics import jinv
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import (attitude_error_angle, dcm_from_rotation_vector,
                             rotation_vector_from_dcm)
@@ -172,7 +172,7 @@ class TestOmegaAt:
                               0.05 * math.sin(10.0 * (t - h)), 0.0])
             phi = np.array([0.05 * math.cos(10.0 * t),
                             0.05 * math.sin(10.0 * t), 0.0])
-            fd = forward_jacobian(phi) @ ((phi_p - phi_m) / (2.0 * h))
+            fd = np.linalg.solve(jinv(phi), (phi_p - phi_m) / (2.0 * h))
             slopes.append(np.max(np.abs(fd - omega_at(signal, t))))
         order = math.log(slopes[0] / slopes[1]) / math.log(10.0)
         assert abs(order - 2.0) <= 0.2
@@ -378,6 +378,29 @@ class TestReferenceAttitude:
         with pytest.raises(NoConvergence, match=str(budget)):
             reference_attitude(preset("fourier3"), 0.0, 4.0, 1e-13)
         assert used == levels
+
+    def test_stage_errors_give_no_attitude_to_compare(self, monkeypatch):
+        # poly3's rate grows as t^3: over 16 s the coarse refinements take
+        # rk4 stages beyond the Jacobian's domain and are passed over; over
+        # 1024 s every refinement within the budget does, and the
+        # NoConvergence is chained to the last stage error.
+        used = []
+        rk4_attitude = trajectory._rk4_attitude
+
+        def counted(signal, t0, t1, substeps):
+            used.append(substeps)
+            return rk4_attitude(signal, t0, t1, substeps)
+
+        monkeypatch.setattr(trajectory, "_rk4_attitude", counted)
+        signal = preset("poly3")
+        want = reference_attitude(signal, 0.0, 16.0, 1e-12)
+        assert attitude_error_angle(
+            want, rk4_attitude(signal, 0.0, 16.0, used[-2])) <= 1e-12
+        with pytest.raises(StageEvaluationError):
+            rk4_attitude(signal, 0.0, 16.0, used[0])
+        with pytest.raises(NoConvergence) as info:
+            reference_attitude(signal, 0.0, 1024.0, 1e-12)
+        assert isinstance(info.value.__cause__, StageEvaluationError)
 
     def test_rejects_bad_arguments(self):
         signal = preset("poly3")
