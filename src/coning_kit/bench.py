@@ -253,7 +253,7 @@ def _propagate(method: MethodId, signal, cells, jacobian_mode: JacobianMode,
 
 def estimate_order(records, floor: float = ERROR_FLOOR
                    ) -> tuple[float, float]:
-    """Least-squares slope of log(error) against log(dt).
+    """Least-squares slope of log(error) against log(dt), in closed form.
 
     Records at or below ``floor``, the smallest error the truth resolves,
     are excluded before fitting; at least 3 usable records with distinct
@@ -266,12 +266,14 @@ def estimate_order(records, floor: float = ERROR_FLOOR
         raise InsufficientData(
             f"order fit needs >= 3 records above the {floor:.0e} "
             f"floor with distinct step sizes, have {len(usable)}")
-    x = np.log([r.dt for r in usable])
-    y = np.log([r.final_error_angle for r in usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    residual = math.sqrt(float(np.mean((y - fitted) ** 2)))
-    return float(slope), residual
+    x = [math.log(r.dt) for r in usable]
+    y = [math.log(r.final_error_angle) for r in usable]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    slope = (sum((a - mx) * (b - my) for a, b in zip(x, y))
+             / sum((a - mx) ** 2 for a in x))
+    residual = math.sqrt(sum((b - my - slope * (a - mx)) ** 2
+                             for a, b in zip(x, y)) / len(y))
+    return slope, residual
 
 
 def validate_config(cfg: SweepConfig) -> None:

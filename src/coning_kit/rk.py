@@ -115,6 +115,16 @@ def tableau_rk4() -> ButcherTableau:
                           c=[0.0, 0.5, 0.5, 1.0])
 
 
+def tableau_rk6() -> ButcherTableau:
+    """Butcher's seven-stage sixth-order scheme (J. C. Butcher, 1964)."""
+    return ButcherTableau(a=[row + [0] * (7 - len(row)) for row in (
+        [], [1 / 3], [0, 2 / 3], [1 / 12, 1 / 3, -1 / 12],
+        [-1 / 16, 9 / 8, -3 / 16, -3 / 8], [0, 9 / 8, -3 / 8, -3 / 4, 1 / 2],
+        [9 / 44, -9 / 11, 63 / 44, 18 / 11, 0, -16 / 11])],
+        b=[11 / 120, 0, 27 / 40, 27 / 40, -4 / 15, -4 / 15, 11 / 120],
+        c=[0, 1 / 3, 2 / 3, 1 / 3, 1 / 2, 1 / 2, 1])
+
+
 def validate_tableau(tab: ButcherTableau) -> list[str]:
     """Check tableau invariants; return every violation (empty list = ok)."""
     violations = []

@@ -12,8 +12,8 @@ Three signal families are available, each evaluable at arbitrary time:
   coning rate ``W (-sin(alpha) sin Wt, sin(alpha) cos Wt,
   -2 sin(alpha/2)^2)``.
 
-Reference attitudes and synthetic increments are deterministic: repeated
-calls with equal inputs return bitwise-identical results.
+Step-doubled sixth-order reference attitudes and synthetic increments are
+deterministic: equal inputs give bitwise-identical results.
 
 Every signal's rate is written once, in ``_rate_xyz``, and its increment
 once, in ``_increment_xyz``: on Python floats for ``omega_at`` and
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NoConvergence, StageEvaluationError
 from .kinematics import JacobianMode
 from .rate_model import RatePolynomial
-from .rk import tableau_rk4
+from .rk import tableau_rk6
 from .so3 import attitude_error_angle, dcm_from_rotation_vector
 
 #: The 5-point Gauss-Legendre rule on [-1, 1], as (node, weight) pairs of
@@ -275,15 +275,15 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float,
     return np.array(_increment_xyz(signal, t0, t1))
 
 
-def _rk4_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
-                  substeps: int) -> np.ndarray:
+def _reference_pass(signal, t0: float, t1: float, levels: list) -> list:
+    """Attitudes of the refinements of ``levels`` substeps over
+    ``[t0, t1]``, the cells of one pass of the array engine."""
     # Imported here: the engine depends on this module's signal types.
     from . import _batch
 
-    h = (t1 - t0) / substeps
-    produce = partial(_batch.rate_steps, signal, t0, [h], tableau_rk4(),
-                      JacobianMode.EXACT_CLOSED_FORM)
-    return _batch.compose_steps(produce, [substeps])[0]
+    return _batch.compose_steps(partial(
+        _batch.rate_steps, signal, t0, [(t1 - t0) / n for n in levels],
+        tableau_rk6(), JacobianMode.EXACT_CLOSED_FORM), levels)
 
 
 def reference_substeps(signal: AnalyticAttitudeSignal, t0: float,
@@ -297,22 +297,22 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
                        tol: float) -> np.ndarray:
     """Attitude accumulated over ``[t0, t1]``, refined to tolerance ``tol``.
 
-    Integrates the rotation-vector ODE with the four-stage scheme and the
-    exact Jacobian, re-zeroing the rotation vector each substep and
-    composing the per-substep DCMs.  Each refinement is a pass of one cell
-    of the array engine of ``bench.propagate``: substep rotation vectors in
-    segments, DCMs multiplied in a pairwise tree, and drift checked once per
-    segment by ``so3.compose`` as it folds the product onto the attitude.  The
-    substep is halved until successive refinements agree to within ``tol``
-    (rad).  A refinement with a stage outside the exact Jacobian's domain
-    (``StageEvaluationError``) gives no attitude to compare: the substep is
-    halved again.  No refinement may use more than ``MAX_SUBSTEPS``
-    substeps: raises ``NoConvergence``, chained to the last stage error if
-    any, when the next one would, without starting it, and ``ValueError``
-    unless ``tol >= 1e-13`` (NaN included).  The
-    returned matrix is the rotation relative to the attitude at ``t0``
-    (identity initial condition).  Raises ``ValueError`` unless ``t1 > t0``
-    and the width ``t1 - t0`` is finite.
+    Integrates the rotation-vector ODE with ``rk.tableau_rk6`` (sixth
+    order) and the exact Jacobian, re-zeroing the rotation vector each
+    substep and composing the per-substep DCMs; refinements are cells of
+    the array engine of ``bench.propagate``.  The substep is halved until
+    two successive refinements agree to within ``tol`` (rad), and the finer
+    is returned.  The first pass runs the starting refinements n and 2n, the
+    next the k = ceil(log_64(d / tol)) >= 1 halvings predicted from the last
+    gap d, or two with no gap; the result is that of one refinement per
+    pass.  A pass that raises ``StageEvaluationError`` runs again one
+    refinement at a time, and one that raises alone gives no attitude.  No
+    refinement may use more than ``MAX_SUBSTEPS`` substeps: raises
+    ``NoConvergence``, chained to the last stage error if any, when the
+    next one would, without starting it, and ``ValueError`` unless
+    ``tol >= 1e-13`` (NaN included).  The returned matrix is the rotation
+    relative to the attitude at ``t0``.  Raises ``ValueError`` unless
+    ``t1 > t0`` and the width ``t1 - t0`` is finite.
     """
     _check_interval(t0, t1)
     if not tol >= 1e-13:
@@ -322,18 +322,25 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
         raise NoConvergence(
             f"reference needs {n} substeps to start, above the budget of "
             f"{MAX_SUBSTEPS}")
-    prev = error = None
-    while True:
+    levels, prev, error = [n, 2 * n], None, None
+    while levels := [m for m in levels if m <= MAX_SUBSTEPS]:
         try:
-            curr = _rk4_attitude(signal, t0, t1, n)
-        except StageEvaluationError as exc:
-            curr, error = None, exc
-        else:
-            if prev is not None and attitude_error_angle(curr, prev) <= tol:
+            attitudes = _reference_pass(signal, t0, t1, levels)
+        except StageEvaluationError:
+            attitudes = []
+            for m in levels:
+                try:
+                    attitudes += _reference_pass(signal, t0, t1, [m])
+                except StageEvaluationError as exc:
+                    attitudes, error = attitudes + [None], exc
+        for curr in attitudes:
+            gap = (None if prev is None or curr is None
+                   else attitude_error_angle(curr, prev))
+            if gap is not None and gap <= tol:
                 return curr
-        if 2 * n > MAX_SUBSTEPS:
-            raise NoConvergence(
-                f"reference refinement did not reach {tol!r} rad within the "
-                f"budget of {MAX_SUBSTEPS} substeps") from error
-        prev = curr
-        n *= 2
+            prev = curr
+        k = 2 if gap is None else max(1, math.ceil(math.log(gap / tol, 64)))
+        levels = [levels[-1] * 2 ** j for j in range(1, k + 1)]
+    raise NoConvergence(
+        f"reference refinement did not reach {tol!r} rad within the "
+        f"budget of {MAX_SUBSTEPS} substeps") from error

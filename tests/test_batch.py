@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coning_kit import _batch, bench
+from coning_kit import _batch, bench, trajectory
 from coning_kit.bench import (MethodId, MethodKind, SweepConfig, propagate,
                               run_sweep)
 from coning_kit.cli import parse_method
@@ -40,7 +40,8 @@ from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
                                    eval_rate)
 from coning_kit.rk import (integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint,
-                           tableau_forward_euler, tableau_rk3, tableau_rk4)
+                           tableau_forward_euler, tableau_rk3, tableau_rk4,
+                           tableau_rk6)
 from coning_kit.so3 import (DRIFT_TOL, SMALL_ANGLE, attitude_error_angle,
                             compose, dcm_from_rotation_vector,
                             orthogonality_defect, wedge)
@@ -56,7 +57,7 @@ CHAIN_TOL = 1e-15
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 TABLEAUX = (tableau_forward_euler, tableau_explicit_midpoint, tableau_rk3,
-            tableau_rk4)
+            tableau_rk4, tableau_rk6)
 
 
 def random_signal(rng, kind):
@@ -636,12 +637,10 @@ class TestAgainstNumpy:
 
 
 def test_reference_engine_matches_the_scalar_step_loop():
-    # The step-doubled reference composes rk4 substeps; the engine must
-    # give the attitude of the per-call loop it replaced.
-    from coning_kit.trajectory import _rk4_attitude
-
+    # The step-doubled reference composes sixth-order substeps; a cell of
+    # its pass must give the attitude of the per-call loop.
     signal = preset("coning")
-    tab = tableau_rk4()
+    tab = tableau_rk6()
     n, t0, t1 = 100, 0.2, 1.2
     h = (t1 - t0) / n
     want = np.eye(3)
@@ -649,5 +648,5 @@ def test_reference_engine_matches_the_scalar_step_loop():
         dphi = integrate_attitude_step(lambda t: omega_at(signal, t),
                                        t0 + k * h, h, tab)
         want = compose(dcm_from_rotation_vector(dphi), want)
-    got = _rk4_attitude(signal, t0, t1, n)
+    [got] = trajectory._reference_pass(signal, t0, t1, [n])
     assert attitude_error_angle(got, want) <= CHAIN_TOL * n

@@ -89,6 +89,45 @@ class TestEstimateOrder:
             estimate_order([record(m, 0.5, 1e-15), record(m, 0.25, 1e-15),
                             record(m, 0.125, 1e-15)])
 
+    @pytest.mark.parametrize("signal", ["coning", "fourier3", "poly3"])
+    def test_default_sweep_fits_match_polyfit(self, signal):
+        cfg = SweepConfig(signal=signal,
+                          methods=tuple(parse_method(m)
+                                        for m in ALL_EIGHT.split(",")),
+                          step_sizes=DEFAULT_DTS, horizon=4.0)
+        floor = (ERROR_FLOOR if signal == "coning"
+                 else bench.REFERENCE_MARGIN * cfg.tolerance)
+        fitted = 0
+        for summary in run_sweep(cfg).summaries:
+            if summary.order is not None:
+                fitted += 1
+                assert_fit_matches_polyfit(summary.records, floor)
+        assert fitted >= 6
+
+    @given(points=st.lists(
+        st.tuples(st.integers(0, 20), st.floats(-13.5, 0.0)),
+        min_size=3, max_size=12, unique_by=lambda p: p[0]),
+        base=st.floats(0.01, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_fit_matches_polyfit(self, points, base):
+        m = MethodId(MethodKind.RK4_OMEGA)
+        assert_fit_matches_polyfit(
+            [record(m, base * 2.0 ** -k, 10.0 ** e) for k, e in points],
+            ERROR_FLOOR)
+
+
+def assert_fit_matches_polyfit(records, floor):
+    """``estimate_order`` against the SVD least-squares fit of
+    ``np.polyfit`` on the records above ``floor``, within 1e-12."""
+    usable = [r for r in records if r.final_error_angle > floor]
+    x = np.log([r.dt for r in usable])
+    y = np.log([r.final_error_angle for r in usable])
+    slope, intercept = np.polyfit(x, y, 1)
+    residual = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    got_slope, got_residual = estimate_order(records, floor)
+    assert abs(got_slope - slope) <= 1e-12
+    assert abs(got_residual - residual) <= 1e-12
+
 
 class TestPropagate:
     @pytest.mark.parametrize("method", ALL_METHODS,

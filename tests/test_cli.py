@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -324,27 +325,31 @@ _FAILED_CELL = re.compile(r"^(\S+) dt=(\S+): failed: ", re.MULTILINE)
            st.lists(st.sampled_from((1.5, 2, 2.5, 3, 5, 7)), max_size=3,
                     unique=True).map(lambda ds: (1, *ds))),
        multiple=st.integers(1, 32),
-       tolerance=st.floats(-13.0, -8.0).map(lambda e: 10.0 ** e))
+       tolerance=st.floats(-13.0, -8.0).map(lambda e: 10.0 ** e),
+       config_file=st.booleans())
 @example(signal="poly3", methods=["theta2"], coarsest=0.5, ladder=3,
-         multiple=32, tolerance=1e-12)
+         multiple=32, tolerance=1e-12, config_file=False)
+@example(signal="fourier3", methods=["twospeed2", "rk4omega"], coarsest=0.3,
+         ladder=(1, 2, 3), multiple=4, tolerance=1e-12, config_file=True)
 @settings(max_examples=60, deadline=None)
 def test_sweep_outcome_over_whole_configs(signal, methods, coarsest, ladder,
-                                          multiple, tolerance):
+                                          multiple, tolerance, config_file):
     # Any such sweep ends one of three ways: every cell recorded or listed
     # as failed (exit 0, or 2 when none was recorded); a ConfigError before
     # any propagation; or a reference that cannot converge.  A halvings
     # count is a dyadic ladder from --dt-max; a tuple of divisors d gives
     # the step sizes coarsest / d through --dts, in the drawn order, and
-    # some of them do not divide the horizon.
+    # some of them do not divide the horizon.  The settings go in as flags
+    # or as the key = value lines of a --config file.
     if isinstance(ladder, int):
         dts = [coarsest * 2.0 ** -k for k in range(ladder + 1)]
-        steps = ["--dt-max", repr(coarsest), "--halvings", str(ladder)]
+        steps = [("dt-max", repr(coarsest)), ("halvings", str(ladder))]
     else:
         dts = [coarsest / d for d in ladder]
-        steps = ["--dts", ",".join(map(repr, dts))]
-    args = ["sweep", "--signal", signal, "--methods", ",".join(methods),
-            *steps, "--horizon", repr(multiple * coarsest),
-            "--tolerance", repr(tolerance)]
+        steps = [("dts", ",".join(map(repr, dts)))]
+    flags = [("signal", signal), ("methods", ",".join(methods)), *steps,
+             ("horizon", repr(multiple * coarsest)),
+             ("tolerance", repr(tolerance))]
     propagated, raised = [], []
     propagate, cmd_sweep = bench._propagate, cli._cmd_sweep
 
@@ -360,11 +365,18 @@ def test_sweep_outcome_over_whole_configs(signal, methods, coarsest, ladder,
             raise
 
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(bench, "_propagate", counted), \
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(bench, "_propagate", counted), \
             mock.patch.object(cli, "_cmd_sweep", recorded), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
+        if config_file:
+            path = Path(tmp) / "sweep.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in flags))
+            args = ["sweep", "--config", str(path)]
+        else:
+            args = ["sweep", *(x for k, v in flags for x in (f"--{k}", v))]
         code = run_cli(args)
     event(type(raised[0]).__name__ if raised else f"exit {code}")
     if raised:

@@ -37,7 +37,7 @@ from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
                                    eval_rate, rk_node_samples_affine)
 from coning_kit.rk import (ButcherTableau, integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint, tableau_forward_euler,
-                           tableau_rk3, tableau_rk4)
+                           tableau_rk3, tableau_rk4, tableau_rk6)
 from coning_kit.so3 import (compose, cross, dcm_from_rotation_vector,
                             orthogonality_defect, orthonormalize)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
@@ -49,7 +49,7 @@ from conftest import cone_rate_oracle
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 TABLEAUX = (tableau_forward_euler, tableau_explicit_midpoint, tableau_rk3,
-            tableau_rk4)
+            tableau_rk4, tableau_rk6)
 
 _EYE3 = np.eye(3)
 

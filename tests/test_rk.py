@@ -10,10 +10,10 @@ from coning_kit.rk import (ButcherTableau, delta_phi_rk3_closed,
                            delta_phi_rk4_closed, integrate_attitude_step,
                            rk_step, tableau_explicit_midpoint,
                            tableau_forward_euler, tableau_rk3, tableau_rk4,
-                           validate_tableau)
+                           tableau_rk6, validate_tableau)
 
 ALL_TABLEAUX = [tableau_forward_euler, tableau_explicit_midpoint,
-                tableau_rk3, tableau_rk4]
+                tableau_rk3, tableau_rk4, tableau_rk6]
 
 
 class TestTableaux:

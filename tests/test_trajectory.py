@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from coning_kit import _batch, trajectory
 from coning_kit.coning import affine_coning_oracle
 from coning_kit.errors import NoConvergence, StageEvaluationError
-from coning_kit.kinematics import jinv
+from coning_kit.kinematics import JacobianMode, jinv
 from coning_kit.rate_model import RatePolynomial
+from coning_kit.rk import tableau_rk4
 from coning_kit.so3 import (attitude_error_angle, dcm_from_rotation_vector,
                             rotation_vector_from_dcm)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
@@ -367,40 +369,98 @@ class TestReferenceAttitude:
         # 100 to agree to 1e-13: the refinement stops at the last level
         # that fits, or before any work when the first does not.
         used = []
-        rk4_attitude = trajectory._rk4_attitude
+        reference_pass = trajectory._reference_pass
 
-        def counted(signal, t0, t1, substeps):
-            used.append(substeps)
-            return rk4_attitude(signal, t0, t1, substeps)
+        def counted(signal, t0, t1, levels):
+            used.extend(levels)
+            return reference_pass(signal, t0, t1, levels)
 
         monkeypatch.setattr(trajectory, "MAX_SUBSTEPS", budget)
-        monkeypatch.setattr(trajectory, "_rk4_attitude", counted)
+        monkeypatch.setattr(trajectory, "_reference_pass", counted)
         with pytest.raises(NoConvergence, match=str(budget)):
             reference_attitude(preset("fourier3"), 0.0, 4.0, 1e-13)
         assert used == levels
 
     def test_stage_errors_give_no_attitude_to_compare(self, monkeypatch):
         # poly3's rate grows as t^3: over 16 s the coarse refinements take
-        # rk4 stages beyond the Jacobian's domain and are passed over; over
+        # stages beyond the Jacobian's domain and are passed over; over
         # 1024 s every refinement within the budget does, and the
         # NoConvergence is chained to the last stage error.
         used = []
-        rk4_attitude = trajectory._rk4_attitude
+        reference_pass = trajectory._reference_pass
 
-        def counted(signal, t0, t1, substeps):
-            used.append(substeps)
-            return rk4_attitude(signal, t0, t1, substeps)
+        def counted(signal, t0, t1, levels):
+            used.extend(levels)
+            return reference_pass(signal, t0, t1, levels)
 
-        monkeypatch.setattr(trajectory, "_rk4_attitude", counted)
+        monkeypatch.setattr(trajectory, "_reference_pass", counted)
         signal = preset("poly3")
         want = reference_attitude(signal, 0.0, 16.0, 1e-12)
-        assert attitude_error_angle(
-            want, rk4_attitude(signal, 0.0, 16.0, used[-2])) <= 1e-12
+        [finer] = reference_pass(signal, 0.0, 16.0, [used[-2]])
+        assert attitude_error_angle(want, finer) <= 1e-12
         with pytest.raises(StageEvaluationError):
-            rk4_attitude(signal, 0.0, 16.0, used[0])
+            reference_pass(signal, 0.0, 16.0, [used[0]])
         with pytest.raises(NoConvergence) as info:
             reference_attitude(signal, 0.0, 1024.0, 1e-12)
         assert isinstance(info.value.__cause__, StageEvaluationError)
+
+    @pytest.mark.parametrize("name, horizon", [
+        ("fourier3", 4.0), ("poly3", 4.0), ("poly3", 16.0)])
+    def test_ladder_equals_one_refinement_per_pass(self, name, horizon,
+                                                   monkeypatch):
+        # Cells are bitwise the same in any pass, so predicting the
+        # halvings and running them together changes no bit of the result.
+        # poly3 over 16 s passes over refinements with stage errors.
+        signal = preset(name)
+        n, prev = trajectory.reference_substeps(signal, 0.0, horizon), None
+        while True:
+            try:
+                [curr] = trajectory._reference_pass(signal, 0.0, horizon, [n])
+            except StageEvaluationError:
+                curr = None
+            if (prev is not None and curr is not None
+                    and attitude_error_angle(curr, prev) <= 1e-12):
+                break
+            prev, n = curr, 2 * n
+        passes = []
+        compose_steps = _batch.compose_steps
+
+        def counted(produce, steps, *args):
+            passes.append(list(steps))
+            return compose_steps(produce, steps, *args)
+
+        monkeypatch.setattr(_batch, "compose_steps", counted)
+        got = reference_attitude(signal, 0.0, horizon, 1e-12)
+        assert np.array_equal(got, curr)
+        if (name, horizon) == ("fourier3", 4.0):
+            assert passes == [[9, 18], [36, 72, 144, 288]]
+
+    def test_refinement_gaps_fall_at_sixth_order(self):
+        # Each halving of the substep divides the gap between successive
+        # refinements by about 2^6, until it nears the roundoff floor.
+        signal = preset("fourier3")
+        attitudes = trajectory._reference_pass(
+            signal, 0.0, 4.0, [9 * 2 ** k for k in range(6)])
+        gaps = [attitude_error_angle(a, b)
+                for a, b in zip(attitudes, attitudes[1:])]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 5.5 <= math.log2(coarse / fine) <= 6.5
+
+    @pytest.mark.parametrize("name", ["fourier3", "poly3"])
+    def test_agrees_with_a_fourth_order_ladder(self, name):
+        # rk4 refined to 1e-13, one refinement per pass: an independent
+        # integration of the same ODE.
+        signal = preset(name)
+        n, prev = trajectory.reference_substeps(signal, 0.0, 4.0), None
+        while True:
+            produce = partial(_batch.rate_steps, signal, 0.0, [4.0 / n],
+                              tableau_rk4(), JacobianMode.EXACT_CLOSED_FORM)
+            [curr] = _batch.compose_steps(produce, [n])
+            if prev is not None and attitude_error_angle(curr, prev) <= 1e-13:
+                break
+            prev, n = curr, 2 * n
+        got = reference_attitude(signal, 0.0, 4.0, 1e-12)
+        assert attitude_error_angle(got, curr) <= 1e-13
 
     def test_rejects_bad_arguments(self):
         signal = preset("poly3")
