@@ -12,7 +12,7 @@ each call's ``(n, 3)`` rotation vectors:
   the signal's rate (``rk.integrate_attitude_step``), with each row's step
   start and width as columns; one ``omega_many`` call takes the times of as
   many stages as fit in ``BLOCK`` rows, and at least one;
-- ``miller_steps``, ``rk4_theta2_steps``, ``rk4_theta3_steps`` and
+- ``cross_sum_steps`` (with a ``coning`` table), ``rk4_theta2_steps`` and
   ``two_speed_steps`` read each cell's increments from its
   ``IncrementGrid``, which synthesizes each sensor interval of one width
   once, and apply one ``coning`` correction.
@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coning import (_miller_beta, _rk4_theta2_beta, _rk4_theta3_beta,
-                     _two_speed_phi)
+from .coning import _cross_sum, _rk4_theta2_beta, _two_speed_phi
 from .errors import (AngleOutOfDomain, NonFiniteIncrement,
                      StageEvaluationError)
 from .kinematics import (MAX_ANGLE, JacobianMode, _apply_jacobian,
@@ -145,20 +144,16 @@ def rate_steps(signal, t0: float, dts, tab, mode: JacobianMode,
 # ------------------------------------------------------ increment steps
 
 
-def miller(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
-    """``coning.miller_single_speed(prev, curr).delta_phi`` row by row."""
-    return (curr.T + _miller_beta(*prev.T, *curr.T)).T
+def cross_sum(table, *windows: np.ndarray) -> np.ndarray:
+    """``delta_phi`` of the cross-sum ``table`` (``coning.MILLER``,
+    ``RK4_THETA3``) row by row; ``windows[i]`` holds increment i of every
+    window, ``windows[1]`` the current one."""
+    return (windows[1].T + _cross_sum(table, [w.T for w in windows])).T
 
 
 def rk4_theta2(prior: np.ndarray, curr: np.ndarray, dt: float) -> np.ndarray:
     """``coning.rk4_theta2`` of the (prior, curr) windows, ``delta_phi``."""
     return (curr.T + _rk4_theta2_beta(*prior.T, *curr.T, dt)).T
-
-
-def rk4_theta3(prior: np.ndarray, curr: np.ndarray,
-               nxt: np.ndarray) -> np.ndarray:
-    """``coning.rk4_theta3`` of the (prior, curr, next) windows."""
-    return (curr.T + _rk4_theta3_beta(*prior.T, *curr.T, *nxt.T)).T
 
 
 def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -204,10 +199,12 @@ def _windowed(increments: np.ndarray) -> np.ndarray:
     return increments
 
 
-def miller_steps(grids, segments) -> np.ndarray:
+def cross_sum_steps(table, grids, segments) -> np.ndarray:
     """Single-speed rotation vectors of the steps of ``segments``; step k of
-    cell c spans interval k of ``grids[c]``."""
-    return miller(_spans(grids, segments, -1), _spans(grids, segments, 0))
+    cell c spans interval k of ``grids[c]``, its window interval k - 1 on."""
+    rows = 1 + max(j for _, j, _ in table[1])
+    return cross_sum(table, *(_windowed(_spans(grids, segments, shift))
+                              for shift in range(-1, rows - 1)))
 
 
 def rk4_theta2_steps(grids, segments) -> np.ndarray:
@@ -217,17 +214,11 @@ def rk4_theta2_steps(grids, segments) -> np.ndarray:
                       _windowed(_spans(grids, segments, 0)), h)
 
 
-def rk4_theta3_steps(grids, segments) -> np.ndarray:
-    """Four-stage solver (prior, current, next) rotation vectors."""
-    return rk4_theta3(*(_windowed(_spans(grids, segments, shift))
-                        for shift in (-1, 0, 1)))
-
-
 def two_speed_steps(grids, minor: int, segments) -> np.ndarray:
     """Two-speed rotation vectors; minor interval j of step k of cell c is
     interval k minor + j of ``grids[c]``."""
-    inc = _spans(grids, segments, 0, minor)
-    before = _spans(grids, segments, -1, minor)[::minor]
+    inc = _windowed(_spans(grids, segments, 0, minor))
+    before = _windowed(_spans(grids, segments, -1, minor)[::minor])
     return two_speed(inc.reshape(-1, minor, 3), before)
 
 

@@ -40,6 +40,7 @@ from functools import partial
 import numpy as np
 
 from . import _batch
+from .coning import MILLER, RK4_THETA3
 from .errors import ConfigError, ConingKitError, InsufficientData
 from .kinematics import JacobianMode
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
@@ -85,9 +86,10 @@ _OMEGA_TABLEAUX = {
 }
 
 _INCREMENT_STEPS = {
-    MethodKind.SINGLE_SPEED_THETA2: _batch.miller_steps,
+    MethodKind.SINGLE_SPEED_THETA2: partial(_batch.cross_sum_steps, MILLER),
     MethodKind.RK4_THETA2: _batch.rk4_theta2_steps,
-    MethodKind.SINGLE_SPEED_THETA3: _batch.rk4_theta3_steps,
+    MethodKind.SINGLE_SPEED_THETA3: partial(_batch.cross_sum_steps,
+                                            RK4_THETA3),
 }
 
 

@@ -22,7 +22,7 @@ from .errors import ConfigError, ConingKitError
 from .kinematics import JacobianMode
 from .rate_model import MeasurementWindow
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
-                 tableau_rk3, tableau_rk4, validate_tableau)
+                 tableau_rk3, tableau_rk4, tableau_rk6, validate_tableau)
 
 _METHOD_HELP = ", ".join(
     sorted(kind.value for kind in MethodKind
@@ -31,7 +31,8 @@ _METHOD_HELP = ", ".join(
 _TABLEAUX = (("forward-euler", tableau_forward_euler),
              ("explicit-midpoint", tableau_explicit_midpoint),
              ("rk3", tableau_rk3),
-             ("rk4", tableau_rk4))
+             ("rk4", tableau_rk4),
+             ("rk6", tableau_rk6))
 
 
 def parse_method(name: str) -> MethodId:

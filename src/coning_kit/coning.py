@@ -39,14 +39,27 @@ class ConingResult:
 
 
 # Each correction is computed once, by a kernel over the components of its
-# increments: floats for the functions below, columns for ``_batch``.
+# increments: floats for the functions below, columns for ``_batch``.  The
+# single-speed ones are cross-sum tables ``(D, ((i, j, N_ij), ...))``,
+# ``beta = sum N_ij theta_i x theta_j / D`` over a window's increments, row 1
+# the current one; ``tests/test_derivation.py`` derives both exactly.
+MILLER = (12.0, ((0, 1, 1.0),))
+RK4_THETA3 = (288.0, ((0, 1, 13.0), (1, 2, 13.0), (0, 2, -1.0)))
 
 
-def _miller_beta(px, py, pz, cx, cy, cz):
-    """``beta = (1/12) prev x curr``."""
-    return ((py * cz - pz * cy) / 12.0,
-            (pz * cx - px * cz) / 12.0,
-            (px * cy - py * cx) / 12.0)
+def _cross_sum(table, rows):
+    """``beta`` of a cross-sum ``table`` on the component triples ``rows``.
+
+    The sum runs in table order from -0.0, the exact additive identity, so
+    it equals the sum started at the first pair, signed zeros included."""
+    d, pairs = table
+    sx = sy = sz = -0.0
+    for i, j, n in pairs:
+        (ax, ay, az), (bx, by, bz) = rows[i], rows[j]
+        sx = sx + n * (ay * bz - az * by)
+        sy = sy + n * (az * bx - ax * bz)
+        sz = sz + n * (ax * by - ay * bx)
+    return sx / d, sy / d, sz / d
 
 
 def _rk4_theta2_beta(px, py, pz, cx, cy, cz, dt):
@@ -64,14 +77,6 @@ def _rk4_theta2_beta(px, py, pz, cx, cy, cz, dt):
             scale * (ux * wmy - uy * wmx))
 
 
-def _rk4_theta3_beta(px, py, pz, cx, cy, cz, nx, ny, nz):
-    """``beta = (1/288) (next x prior + 13 (prior - next) x curr)``."""
-    ux, uy, uz = px - nx, py - ny, pz - nz
-    return (((ny * pz - nz * py) + 13.0 * (uy * cz - uz * cy)) / 288.0,
-            ((nz * px - nx * pz) + 13.0 * (uz * cx - ux * cz)) / 288.0,
-            ((nx * py - ny * px) + 13.0 * (ux * cy - uy * cx)) / 288.0)
-
-
 def _two_speed_phi(rows, px, py, pz):
     """Two-speed rotation vector of the component triples ``rows`` that
     follow the increment ``(px, py, pz)``."""
@@ -85,9 +90,14 @@ def _two_speed_phi(rows, px, py, pz):
         qz = qz + (px * dy - py * dx)
         tx, ty, tz = tx + dx, ty + dy, tz + dz
         px, py, pz = dx, dy, dz
-    return (tx + 0.5 * hx + qx / 12.0,
-            ty + 0.5 * hy + qy / 12.0,
-            tz + 0.5 * hz + qz / 12.0)
+    return (tx + 0.5 * hx + qx / MILLER[0], ty + 0.5 * hy + qy / MILLER[0],
+            tz + 0.5 * hz + qz / MILLER[0])
+
+
+def _result(beta, curr) -> ConingResult:
+    """The correction ``beta`` and the increment ``curr`` it corrects."""
+    (bx, by, bz), (cx, cy, cz) = beta, curr
+    return ConingResult(np.array((cx + bx, cy + by, cz + bz)), np.array(beta))
 
 
 def miller_single_speed(dtheta_prev: np.ndarray,
@@ -97,13 +107,9 @@ def miller_single_speed(dtheta_prev: np.ndarray,
     Exact for an affine rate history; ``beta`` vanishes identically for
     parallel increments (single-axis motion).
     """
-    px, py, pz = (float(dtheta_prev[0]), float(dtheta_prev[1]),
-                  float(dtheta_prev[2]))
-    cx, cy, cz = (float(dtheta_curr[0]), float(dtheta_curr[1]),
-                  float(dtheta_curr[2]))
-    bx, by, bz = _miller_beta(px, py, pz, cx, cy, cz)
-    return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
-                        beta=np.array([bx, by, bz]))
+    rows = (np.asarray(dtheta_prev, dtype=float).tolist(),
+            np.asarray(dtheta_curr, dtype=float).tolist())
+    return _result(_cross_sum(MILLER, rows), rows[1])
 
 
 def rk4_theta2(window: MeasurementWindow) -> ConingResult:
@@ -120,26 +126,21 @@ def rk4_theta2(window: MeasurementWindow) -> ConingResult:
     """
     _require_q(window, 2)
     rows = window.increments.tolist()
-    (px, py, pz), (cx, cy, cz) = rows
-    bx, by, bz = _rk4_theta2_beta(px, py, pz, cx, cy, cz, float(window.dt))
-    ax, ay, az = rows[window.alignment]
-    return ConingResult(delta_phi=np.array([ax + bx, ay + by, az + bz]),
-                        beta=np.array([bx, by, bz]))
+    return _result(_rk4_theta2_beta(*rows[0], *rows[1], float(window.dt)),
+                   rows[window.alignment])
 
 
 def rk4_theta3(window: MeasurementWindow) -> ConingResult:
     """Four-stage solver correction from a (prior, current, next) window.
 
-    ``beta = (1/288) (next x prior + 13 (prior - next) x curr)``, the
+    ``beta = (13 prior x curr + 13 curr x next - prior x next) / 288``, the
     quadratic-model node samples pushed through the fourth-order closed
     form.  Requires the increment one step ahead, so in streaming use the
     update is lagged by one interval.  Alignment 1 only.
     """
     _require_q(window, 3, aligned=True)
-    (px, py, pz), (cx, cy, cz), (nx, ny, nz) = window.increments.tolist()
-    bx, by, bz = _rk4_theta3_beta(px, py, pz, cx, cy, cz, nx, ny, nz)
-    return ConingResult(delta_phi=np.array([cx + bx, cy + by, cz + bz]),
-                        beta=np.array([bx, by, bz]))
+    rows = window.increments.tolist()
+    return _result(_cross_sum(RK4_THETA3, rows), rows[1])
 
 
 def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:

@@ -109,7 +109,7 @@ _QUAD_NODE_MAP = np.array([[8.0, 20.0, -4.0],
 
 def _require_q(window: MeasurementWindow, q: int,
                aligned: bool = False) -> None:
-    if window.q != q:
+    if len(window.increments) != q:
         raise ValueError(f"expected a Q={q} window, got Q={window.q}")
     if aligned and window.alignment != 1:
         raise ValueError(

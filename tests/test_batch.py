@@ -31,8 +31,8 @@ from coning_kit import _batch, bench, trajectory
 from coning_kit.bench import (MethodId, MethodKind, SweepConfig, propagate,
                               run_sweep)
 from coning_kit.cli import parse_method
-from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
-                               two_speed_classic)
+from coning_kit.coning import (MILLER, RK4_THETA3, miller_single_speed,
+                               rk4_theta2, rk4_theta3, two_speed_classic)
 from coning_kit.errors import (AngleOutOfDomain, NotNearOrthogonal,
                                StageEvaluationError)
 from coning_kit.kinematics import JacobianMode, jinv
@@ -333,9 +333,9 @@ class TestCorrections:
         dt = float(10.0 ** rng.uniform(-3.0, 0.0))
         inc = rng.uniform(-0.5, 0.5, (n + 2, 3))
         prior, curr, nxt = inc[:-2], inc[1:-1], inc[2:]
-        miller = _batch.miller(prior, curr)
+        miller = _batch.cross_sum(MILLER, prior, curr)
         theta2 = _batch.rk4_theta2(prior, curr, dt)
-        theta3 = _batch.rk4_theta3(prior, curr, nxt)
+        theta3 = _batch.cross_sum(RK4_THETA3, prior, curr, nxt)
         for i in range(n):
             assert np.array_equal(
                 miller[i], miller_single_speed(prior[i], curr[i]).delta_phi)
@@ -392,7 +392,10 @@ class TestCorrections:
             got = _batch.two_speed_steps(grids, minor, segments)
         else:
             grids = [_batch.IncrementGrid(signal, dt, k1)]
-            got = getattr(_batch, f"{name}_steps")(grids, segments)
+            got = (_batch.rk4_theta2_steps(grids, segments)
+                   if name == "rk4_theta2" else _batch.cross_sum_steps(
+                       MILLER if name == "miller" else RK4_THETA3, grids,
+                       segments))
         for g, w in zip(got, want):
             if kind == "poly":
                 assert np.array_equal(g, w)
@@ -429,10 +432,10 @@ def test_two_speed_within_a_rounding_of_the_scalar_loop_times(name, dt,
     assert attitude_error_angle(got, want) <= CHAIN_TOL * n
 
 
-@pytest.mark.parametrize("kind", [MethodKind.RK4_THETA2,
-                                  MethodKind.SINGLE_SPEED_THETA3])
+@pytest.mark.parametrize("method", ["theta2", "rk4theta2", "theta3",
+                                    "twospeed4"])
 def test_non_finite_increments_refused_like_measurement_window(
-        kind, monkeypatch):
+        method, monkeypatch):
     # No signal gives infinite increments (RatePolynomial refuses infinite
     # coefficients), so the synthesis the engine calls returns them.
     with pytest.raises(ValueError, match="finite"):
@@ -444,7 +447,7 @@ def test_non_finite_increments_refused_like_measurement_window(
 
     monkeypatch.setattr(_batch, "synth_many", infinite)
     with pytest.raises(ValueError, match="finite"):
-        propagate(MethodId(kind), preset("poly3"), 0.25, 1.0)
+        propagate(parse_method(method), preset("poly3"), 0.25, 1.0)
 
 
 class TestComposer:
@@ -571,11 +574,12 @@ class TestAgainstNumpy:
         prior, curr, nxt = inc[:-2], inc[1:-1], inc[2:]
         # rk4_theta2 equals Miller's correction to a few ulp.
         miller = curr + np.cross(prior, curr) / 12.0
-        assert_rows_close(_batch.miller(prior, curr), miller)
+        assert_rows_close(_batch.cross_sum(MILLER, prior, curr), miller)
         assert_rows_close(_batch.rk4_theta2(prior, curr, dt), miller)
         beta = (np.cross(nxt, prior)
                 + 13.0 * np.cross(prior - nxt, curr)) / 288.0
-        assert_rows_close(_batch.rk4_theta3(prior, curr, nxt), curr + beta)
+        assert_rows_close(_batch.cross_sum(RK4_THETA3, prior, curr, nxt),
+                          curr + beta)
 
     @given(seed=seeds, minor=st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)

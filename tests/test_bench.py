@@ -487,11 +487,12 @@ class TestOnePassPerMethod:
         monkeypatch.setattr(_batch, "synth_many", infinite)
         cfg = SweepConfig(signal="coning",
                           methods=tuple(parse_method(m) for m in (
-                              "rk4theta2", "fwdeuler", "theta3")),
+                              "theta2", "rk4theta2", "fwdeuler", "theta3",
+                              "twospeed4")),
                           step_sizes=(0.25, 0.125), horizon=1.0)
-        theta2, euler, theta3 = run_sweep(cfg).summaries
+        theta2, rk4theta2, euler, theta3, two_speed = run_sweep(cfg).summaries
         reason = "NonFiniteIncrement: increments must be finite"
-        for summary in (theta2, theta3):
+        for summary in (theta2, rk4theta2, theta3, two_speed):
             assert summary.records == ()
             assert summary.failures == ((0.25, reason), (0.125, reason))
         assert len(euler.records) == 2 and euler.failures == ()

@@ -58,9 +58,10 @@ class TestTableauxCommand:
     def test_prints_all_and_exits_zero(self, capsys):
         assert run_cli(["tableaux"]) == 0
         out = capsys.readouterr().out
-        for name in ("forward-euler", "explicit-midpoint", "rk3", "rk4"):
+        for name in ("forward-euler", "explicit-midpoint", "rk3", "rk4",
+                     "rk6"):
             assert name in out
-        assert out.count("ok") == 4
+        assert out.count("ok") == 5
 
 
 class TestValidateCommand:
