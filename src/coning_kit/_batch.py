@@ -24,10 +24,11 @@ a cell's segments do not depend on the rest of its pass, so a cell's
 attitude is bitwise the same alone or in any pass.
 
 Each array function shares the kernel of the per-call function it replaces
-(``coning``, ``so3._dcm_entries``, ``kinematics._apply_jacobian`` and the
-two forms of ``c``, ``trajectory._rate_xyz`` and ``_increment_xyz``) on
-(n,) columns; rows are the transpose of a ``(3, n)`` array (``_rows``), so
-``rows.T`` hands the kernels contiguous columns.  Results differ from a
+(``coning``, ``so3._cross_sum`` and ``_dcm_entries``,
+``kinematics._apply_jacobian`` and the two forms of ``c``,
+``trajectory._rate_xyz`` and ``_increment_xyz``) on (n,) columns; rows are
+the transpose of a ``(3, n)`` array (``_rows``), so ``rows.T`` hands the
+kernels contiguous columns.  Results differ from a
 scalar loop in the last bits where numpy's sin, cos and 3x3 products round
 differently and where the tree regroups the product; ``tests/test_batch.py``
 holds each array function to its scalar oracle within a stated tolerance.
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coning import _cross_sum, _rk4_theta2_beta, _two_speed_phi
+from .coning import _rk4_theta2_beta, _two_speed_phi
 from .errors import (AngleOutOfDomain, NonFiniteIncrement,
                      StageEvaluationError)
 from .kinematics import (MAX_ANGLE, JacobianMode, _apply_jacobian,
                          _coefficient_series, _coefficient_trig)
-from .so3 import SMALL_ANGLE, _dcm_entries, compose
+from .so3 import SMALL_ANGLE, _cross_sum, _dcm_entries, compose
 from .trajectory import _increment_xyz, _rate_xyz
 
 #: Rows per producer call and steps per segment; for the two-speed method,

@@ -5,7 +5,8 @@ rotation, so the integrated increment ``dtheta`` must be corrected into a
 rotation vector: ``delta_phi = dtheta + beta``.  This module provides the
 classical single-speed (Miller) and two-speed corrections, the solver-based
 corrections built from reconstructed rate samples, and reference
-computations (analytic and quadrature) for an affine rate history.
+computations (analytic and quadrature) for an affine rate history.  The
+single-speed ones are cross-sum tables on the kernel ``so3._cross_sum``.
 
 The oracles live in the library rather than the test suite so the CLI can
 run self-validation.
@@ -13,7 +14,6 @@ run self-validation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import EmptyWindow
 from .rate_model import MeasurementWindow, _require_q
-from .rk import OmegaSampler
-from .so3 import cross
+from .rk import OmegaSampler, _check_dt
+from .so3 import _cross_sum, cross
 from .trajectory import _GL_PAIRS
 
 
@@ -45,21 +45,6 @@ class ConingResult:
 # the current one; ``tests/test_derivation.py`` derives both exactly.
 MILLER = (12.0, ((0, 1, 1.0),))
 RK4_THETA3 = (288.0, ((0, 1, 13.0), (1, 2, 13.0), (0, 2, -1.0)))
-
-
-def _cross_sum(table, rows):
-    """``beta`` of a cross-sum ``table`` on the component triples ``rows``.
-
-    The sum runs in table order from -0.0, the exact additive identity, so
-    it equals the sum started at the first pair, signed zeros included."""
-    d, pairs = table
-    sx = sy = sz = -0.0
-    for i, j, n in pairs:
-        (ax, ay, az), (bx, by, bz) = rows[i], rows[j]
-        sx = sx + n * (ay * bz - az * by)
-        sy = sy + n * (az * bx - ax * bz)
-        sz = sz + n * (ax * by - ay * bx)
-    return sx / d, sy / d, sz / d
 
 
 def _rk4_theta2_beta(px, py, pz, cx, cy, cz, dt):
@@ -138,7 +123,9 @@ def rk4_theta3(window: MeasurementWindow) -> ConingResult:
     form.  Requires the increment one step ahead, so in streaming use the
     update is lagged by one interval.  Alignment 1 only.
     """
-    _require_q(window, 3, aligned=True)
+    _require_q(window, 3)
+    if window.alignment != 1:
+        raise ValueError(f"needs alignment 1, got {window.alignment}")
     rows = window.increments.tolist()
     return _result(_cross_sum(RK4_THETA3, rows), rows[1])
 
@@ -157,16 +144,18 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
     be a real measurement, since fabricating it degrades the 1/12 term to
     first order.  (The running-sum term is insensitive to whether the
     current increment is included: its self-cross vanishes.)  With m = 1
-    this is exactly the single-speed correction.  ``increments`` is a
-    sequence of m rows and each row, like ``dtheta_before_first``, any
-    sequence of three numbers (a numpy array of shape (3,) or a list).
+    this is exactly the single-speed correction.  Each of the m rows of
+    ``increments``, like ``dtheta_before_first``, is any sequence of three
+    numbers (a numpy array of shape (3,) or a list); ``ValueError`` for any
+    other shape.
     """
-    if len(increments) == 0:
+    rows = np.asarray(increments, dtype=float)
+    before = np.asarray(dtheta_before_first, dtype=float)
+    if len(rows) == 0:
         raise EmptyWindow("two-speed correction needs at least one increment")
-    b = dtheta_before_first
-    return np.array(_two_speed_phi(
-        [(float(d[0]), float(d[1]), float(d[2])) for d in increments],
-        float(b[0]), float(b[1]), float(b[2])))
+    if rows.shape[1:] != (3,) or before.shape != (3,):
+        raise ValueError("two-speed increments must be 3-vectors")
+    return np.array(_two_speed_phi(rows.tolist(), *before.tolist()))
 
 
 def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,
@@ -213,8 +202,7 @@ def affine_coning_oracle(p1: np.ndarray, p2: np.ndarray,
     Over one interval of length ``dt`` the first-order coning integral is
     exactly ``(1/12) (p1 x p2) dt**3``.  ``dt`` must be positive and finite.
     """
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _check_dt(dt)
     return cross(p1, p2) * (dt ** 3 / 12.0)
 
 

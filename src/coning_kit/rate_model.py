@@ -14,14 +14,14 @@ is then sampled at the three solver nodes t = 0, dt/2, dt.
 Window layout: the increment at ``alignment`` (default 1) covers ``[0, dt]``
 and is the step being propagated; increment j covers
 ``[(j - alignment) dt, (j - alignment + 1) dt]``.  A Q=2 window is therefore
-(prior, current) and a Q=3 window (prior, current, next).  The closed forms
-(``fit_affine``, ``rk_node_samples_affine``, ``rk_node_samples_quadratic``
-and ``coning.rk4_theta3``) hold for alignment 1 only and raise
-``ValueError`` for any other.
+(prior, current) and a Q=3 window (prior, current, next).  In normalized
+time s = t/dt the linear system depends on (Q, alignment) alone, so it is
+inverted once per window shape, and every fit and node sample applies it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +35,9 @@ class MeasurementWindow:
     """Consecutive integrated-rate increments sharing one step interval.
 
     ``increments`` is a (Q, 3) array, Q >= 2; ``dt`` the common interval in
-    seconds; ``alignment`` the index of the increment being propagated.
-    The increments are copied and frozen; the caller's array is untouched.
+    seconds; ``alignment`` the index of the increment being propagated, an
+    ``int`` or numpy integer (not a ``bool``).  The increments are copied
+    and frozen; the caller's array is untouched.
     """
 
     increments: np.ndarray
@@ -53,9 +54,11 @@ class MeasurementWindow:
         if not 0.0 < self.dt < math.inf:
             raise DegenerateStep(
                 f"dt must be positive and finite, got {self.dt!r}")
-        if not 0 <= self.alignment < inc.shape[0]:
+        align, q = self.alignment, inc.shape[0]
+        if (isinstance(align, bool) or not isinstance(align, (int, np.integer))
+                or not 0 <= align < q):
             raise ValueError(
-                f"alignment {self.alignment} out of range for Q={inc.shape[0]}")
+                f"alignment must be an integer in [0, {q}), got {align!r}")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -99,72 +102,56 @@ class RkNodeSamples:
     omega1: np.ndarray
 
 
-#: Node-sample map for the quadratic model: Omega = _QUAD_NODE_MAP @ Theta
-#: / (24 dt).  Rows sum to 24, so constant increments map to the constant
-#: rate.  Cross-checked against the fitted-polynomial path in the tests.
-_QUAD_NODE_MAP = np.array([[8.0, 20.0, -4.0],
-                           [-1.0, 26.0, -1.0],
-                           [-4.0, 20.0, 8.0]])
-
-
-def _require_q(window: MeasurementWindow, q: int,
-               aligned: bool = False) -> None:
+def _require_q(window: MeasurementWindow, q: int) -> MeasurementWindow:
     if len(window.increments) != q:
         raise ValueError(f"expected a Q={q} window, got Q={window.q}")
-    if aligned and window.alignment != 1:
-        raise ValueError(
-            f"closed form needs alignment 1, got {window.alignment}")
+    return window
 
 
-def fit_affine(window: MeasurementWindow) -> RatePolynomial:
-    """Affine rate model from a (prior, current) increment pair.
-
-    Closed form of the 2x2 integral system:
-    ``p1 = (prior + curr) / (2 dt)``, ``p2 = (curr - prior) / dt**2``.
-    """
-    _require_q(window, 2, aligned=True)
-    dt = window.dt
-    prior, curr = window.increments
-    p1 = (prior + curr) / (2.0 * dt)
-    p2 = (curr - prior) / (dt * dt)
-    return RatePolynomial(np.stack([p1, p2]))
-
-
-def fit_quadratic(window: MeasurementWindow) -> RatePolynomial:
-    """Quadratic rate model from (prior, current, next) increments."""
-    _require_q(window, 3)
-    return _fit_integral_system(window)
-
-
-def fit_polynomial(window: MeasurementWindow) -> RatePolynomial:
-    """Degree Q-1 rate model from any Q >= 2 consecutive increments.
-
-    Solves the QxQ linear system whose row j integrates each monomial over
-    increment j's span (LU with partial pivoting).  Specializes to
-    ``fit_affine`` for Q = 2 at alignment 1 and to ``fit_quadratic`` for
-    Q = 3.  Raises ``SingularSystem`` if the design matrix's condition
-    estimate exceeds 1e12; the monomial basis degrades quickly beyond Q ~ 5.
-    """
-    if window.q == 2 and window.alignment == 1:
-        return fit_affine(window)
-    return _fit_integral_system(window)
-
-
-def _fit_integral_system(window: MeasurementWindow) -> RatePolynomial:
-    # Solve in normalized time s = t/dt so the matrix entries are integer
-    # ratios and conditioning reflects window geometry, not units.
-    q = window.q
-    dt = window.dt
-    lo = np.arange(q, dtype=float) - window.alignment
-    hi = lo + 1.0
+@functools.cache
+def _solve(q: int, alignment: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of the integral system of a (q, alignment) window, and its
+    node map: that inverse's rates at s = t/dt = 0, 1/2, 1.  Row j of the
+    system integrates each ``s**m`` over ``[j - alignment, j - alignment +
+    1]``.  Raises ``SingularSystem`` above a condition estimate of 1e12;
+    the monomial basis degrades quickly beyond Q ~ 5."""
+    lo = np.arange(q, dtype=float)[:, None] - alignment
     powers = np.arange(1, q + 1, dtype=float)
-    design = (hi[:, None] ** powers - lo[:, None] ** powers) / powers
-    cond = np.linalg.cond(design)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = ((lo + 1.0) ** powers - lo ** powers) / powers
+    cond = np.linalg.cond(design) if np.isfinite(design).all() else math.inf
     if not cond < 1e12:
         raise SingularSystem(
             f"design matrix condition estimate {cond:.3e} exceeds 1e12")
-    scaled = np.linalg.solve(design, window.increments / dt)
-    coeffs = scaled / (dt ** np.arange(q, dtype=float))[:, None]
+    inv = np.linalg.inv(design)
+    nodes = (np.array([0.0, 0.5, 1.0])[:, None] ** (powers - 1.0)) @ inv
+    inv.flags.writeable = nodes.flags.writeable = False
+    return inv, nodes
+
+
+def fit_affine(window: MeasurementWindow) -> RatePolynomial:
+    """``fit_polynomial`` of a Q=2 window."""
+    return fit_polynomial(_require_q(window, 2))
+
+
+def fit_quadratic(window: MeasurementWindow) -> RatePolynomial:
+    """``fit_polynomial`` of a Q=3 window."""
+    return fit_polynomial(_require_q(window, 3))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def fit_polynomial(window: MeasurementWindow) -> RatePolynomial:
+    """Degree Q-1 rate model from any Q >= 2 consecutive increments.
+
+    The shape's inverse integral system gives coefficient m times
+    ``dt**(m + 1)``, divided by ``dt`` that many times.  Raises
+    ``SingularSystem`` for an ill-conditioned shape and ``ValueError`` if a
+    coefficient overflows.
+    """
+    q, dt = window.q, window.dt
+    coeffs = _solve(q, window.alignment)[0] @ window.increments
+    for m in range(q):
+        coeffs[m:] /= dt
     return RatePolynomial(coeffs)
 
 
@@ -177,24 +164,27 @@ def eval_rate(model: RatePolynomial, t: float) -> np.ndarray:
     return acc
 
 
-def rk_node_samples_affine(window: MeasurementWindow) -> RkNodeSamples:
-    """Solver-node rate samples implied by the affine model.
+@np.errstate(over="raise")
+def rk_node_samples(window: MeasurementWindow) -> RkNodeSamples:
+    """The fitted model's rates at t = 0, dt/2, dt: the shape's node map
+    applied to the increments, over ``dt``.  Raises ``SingularSystem`` for
+    an ill-conditioned shape and ``ValueError`` if a sample overflows."""
+    # The window's increments are finite, so only an overflow makes a
+    # sample non-finite, and it raises here.
+    try:
+        nodes = (_solve(len(window.increments), window.alignment)[1]
+                 @ window.increments / window.dt)
+    except FloatingPointError as exc:
+        raise ValueError(f"node samples overflow, dt = {window.dt!r}") from exc
+    return RkNodeSamples(nodes[0], nodes[1], nodes[2])
 
-    ``w(0) = (prior + curr)/(2 dt)``, ``w(dt/2) = curr/dt``,
-    ``w(dt) = (3 curr - prior)/(2 dt)``; identical to evaluating
-    ``fit_affine`` at the three nodes.
-    """
-    _require_q(window, 2, aligned=True)
-    dt = window.dt
-    prior, curr = window.increments
-    return RkNodeSamples(omega0=(prior + curr) / (2.0 * dt),
-                         omega_mid=curr / dt,
-                         omega1=(3.0 * curr - prior) / (2.0 * dt))
+
+def rk_node_samples_affine(window: MeasurementWindow) -> RkNodeSamples:
+    """``rk_node_samples`` of a Q=2 window; at alignment 1, ``(prior +
+    curr)/(2 dt)``, ``curr/dt`` and ``(3 curr - prior)/(2 dt)``."""
+    return rk_node_samples(_require_q(window, 2))
 
 
 def rk_node_samples_quadratic(window: MeasurementWindow) -> RkNodeSamples:
-    """Solver-node rate samples implied by the quadratic model."""
-    _require_q(window, 3, aligned=True)
-    nodes = (_QUAD_NODE_MAP @ window.increments) / (24.0 * window.dt)
-    return RkNodeSamples(omega0=nodes[0], omega_mid=nodes[1], omega1=nodes[2])
-
+    """``rk_node_samples`` of a Q=3 window."""
+    return rk_node_samples(_require_q(window, 3))

@@ -8,9 +8,10 @@ The step routine implements the standard explicit scheme
 
 for any state dimension.  ``integrate_attitude_step`` specializes it to the
 rotation-vector ODE over one sensor interval with the zero initial condition
-(which makes the inverse Jacobian the identity at the first stage), and the
-``delta_phi_*_closed`` functions are the corresponding second-order closed
-forms in angular-rate samples.
+(which makes the inverse Jacobian the identity at the first stage), and
+``delta_phi_closed`` is its second-order closed form for any tableau: the
+weights ``b`` and a cross-sum table on the stage rates, read by
+``so3._cross_sum`` like the ``coning`` corrections.
 
 ``integrate_attitude_step`` is the per-call path of a strapdown update: it
 runs the scheme on Python floats, with the same operations in the same
@@ -23,6 +24,7 @@ columns.  Both step routines read the tableau's coefficients from the plan
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import StageEvaluationError
 from .kinematics import JacobianMode, _apply_jacobian, jinv_coefficient
-from .so3 import cross
+from .so3 import _cross_sum
 
 OdeFunction = Callable[[float, np.ndarray], np.ndarray]
 OmegaSampler = Callable[[float], np.ndarray]
@@ -47,10 +49,10 @@ class ButcherTableau:
     ``validate_tableau``, not at construction, so defective tableaux can be
     built for testing.  The three arrays are copied and frozen.
 
-    Construction also precomputes the plan both step routines run, as
-    Python floats: per stage ``nu``, ``c[nu]`` and the pairs
-    ``(l, A[nu, l])`` with ``l < nu`` and a nonzero coefficient; then the
-    pairs ``(l, b[l])`` with a nonzero weight.
+    Construction also precomputes, as Python floats, the plan both step
+    routines run: per stage ``nu``, ``c[nu]`` and the pairs ``(l, A[nu, l])``
+    with ``l < nu`` and a nonzero coefficient; then the pairs ``(l, b[l])``
+    with a nonzero weight; and the cross-sum table of ``delta_phi_closed``.
     """
 
     a: np.ndarray
@@ -77,6 +79,9 @@ class ButcherTableau:
             for nu in range(n))
         weights = tuple((l, float(b[l])) for l in range(n) if b[l] != 0.0)
         object.__setattr__(self, "_plan", (stages, weights))
+        object.__setattr__(self, "_expansion", (2.0, tuple(
+            (l, nu, float(b[nu]) * a_nl) for nu, (_, row) in enumerate(stages)
+            for l, a_nl in row if b[nu] != 0.0)))
 
     @property
     def n(self) -> int:
@@ -228,34 +233,44 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
     return np.array([ox, oy, oz])
 
 
-def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
-                         omega1: np.ndarray, dt: float) -> np.ndarray:
-    """Quadratic-order closed form of the three-stage rotation increment.
+def delta_phi_closed(tab: ButcherTableau, omega: OmegaSampler,
+                     dt: float) -> np.ndarray:
+    """Second-order closed form of ``tab``'s rotation increment.
 
-    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/6)(w0 - w1) x wm - (dt^2/12) w0 x w1``:
-    the three-stage scheme's second-order expansion, whose cross term is
-    ``(dt^2/6) w0 x wm + (dt^2/6) wm x w1 - (dt^2/12) w0 x w1``.
+    ``dt sum_nu b_nu w_nu + (dt^2/2) sum_nu,l b_nu A[nu, l] w_l x w_nu``,
+    with ``w_nu = omega(c[nu])`` the rate at stage ``nu``'s node (in units
+    of the step); the cross term is the table ``(2, ((l, nu, b_nu A[nu, l]),
+    ...))`` that the tableau builds.
     """
     _check_dt(dt)
-    w0 = np.asarray(omega0, dtype=float)
-    wm = np.asarray(omega_mid, dtype=float)
-    w1 = np.asarray(omega1, dtype=float)
-    simpson = (dt / 6.0) * (w0 + 4.0 * wm + w1)
-    return (simpson
-            + (dt * dt / 6.0) * cross(w0 - w1, wm)
-            - (dt * dt / 12.0) * cross(w0, w1))
+    stage_plan, weights = tab._plan
+    rows = [np.asarray(omega(c_nu), dtype=float).tolist()
+            for c_nu, _ in stage_plan]
+    fx = fy = fz = 0.0
+    for l, b_l in weights:
+        x, y, z = rows[l]
+        fx += b_l * x
+        fy += b_l * y
+        fz += b_l * z
+    cx, cy, cz = _cross_sum(tab._expansion, rows)
+    h = dt * dt
+    return np.array([dt * fx + h * cx, dt * fy + h * cy, dt * fz + h * cz])
+
+
+_rk3, _rk4 = functools.cache(tableau_rk3), functools.cache(tableau_rk4)
+
+
+def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
+                         omega1: np.ndarray, dt: float) -> np.ndarray:
+    """``delta_phi_closed`` of ``tableau_rk3`` on the rates at t = 0, dt/2, dt:
+    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(2 w0 x wm + 2 wm x w1 - w0 x w1)``."""
+    return delta_phi_closed(_rk3(), {
+        0.0: omega0, 0.5: omega_mid, 1.0: omega1}.__getitem__, dt)
 
 
 def delta_phi_rk4_closed(omega0: np.ndarray, omega_mid: np.ndarray,
                          omega1: np.ndarray, dt: float) -> np.ndarray:
-    """Quadratic-order closed form of the four-stage rotation increment.
-
-    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(w0 - w1) x wm``.  Agrees with the
-    four-stage solver to O(dt^3) for any samples.
-    """
-    _check_dt(dt)
-    w0 = np.asarray(omega0, dtype=float)
-    wm = np.asarray(omega_mid, dtype=float)
-    w1 = np.asarray(omega1, dtype=float)
-    simpson = (dt / 6.0) * (w0 + 4.0 * wm + w1)
-    return simpson + (dt * dt / 12.0) * cross(w0 - w1, wm)
+    """``delta_phi_closed`` of ``tableau_rk4`` on the rates at t = 0, dt/2, dt:
+    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(w0 - w1) x wm``."""
+    return delta_phi_closed(_rk4(), {
+        0.0: omega0, 0.5: omega_mid, 1.0: omega1}.__getitem__, dt)

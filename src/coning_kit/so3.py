@@ -12,6 +12,9 @@ Conventions used throughout the package:
 - The Lie-algebra sign convention with exponential coordinates ``s = -phi``
   is documented here once and never stored.
 
+Any 3-vector argument of another length raises ``ValueError``.  The one
+cross-sum kernel, ``_cross_sum``, serves ``coning``, ``_batch`` and ``rk``.
+
 All functions are pure and operate on immutable values; they are safe for
 unrestricted concurrent use.
 """
@@ -43,8 +46,8 @@ DRIFT_TOL = 1e-12
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors (scalar path, faster than np.cross)."""
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    ux, uy, uz = np.asarray(u, dtype=float).tolist()
+    vx, vy, vz = np.asarray(v, dtype=float).tolist()
     return np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
 
 
@@ -53,7 +56,7 @@ def wedge(v: np.ndarray) -> np.ndarray:
 
     Satisfies ``wedge(v) @ b == cross(v, b)`` for any 3-vector ``b``.
     """
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    x, y, z = np.asarray(v, dtype=float).tolist()
     return np.array([[0.0, -z, y],
                      [z, 0.0, -x],
                      [-y, x, 0.0]])
@@ -82,7 +85,7 @@ def dcm_from_rotation_vector(phi: np.ndarray) -> np.ndarray:
     ``sin(a)/a ~ 1 - a^2/6`` and ``(1 - cos(a))/a^2 ~ 1/2 - a^2/24`` applied
     to ``[phi x]`` directly, avoiding the 0/0 axis extraction.
     """
-    x, y, z = float(phi[0]), float(phi[1]), float(phi[2])
+    x, y, z = np.asarray(phi, dtype=float).tolist()
     n2 = x * x + y * y + z * z
     if n2 < SMALL_ANGLE * SMALL_ANGLE:
         k1 = 1.0 - n2 / 6.0
@@ -103,6 +106,21 @@ def _dcm_entries(x, y, z, k1, k2):
     return (1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
             -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
             k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy))
+
+
+def _cross_sum(table, rows):
+    """``sum N_ij rows[i] x rows[j] / D`` of a table ``(D, ((i, j, N_ij),
+    ...))`` on component triples of floats or columns.  The sum runs in table
+    order from -0.0, the exact additive identity, so it equals the sum
+    started at the first pair, signed zeros included."""
+    d, pairs = table
+    sx = sy = sz = -0.0
+    for i, j, n in pairs:
+        (ax, ay, az), (bx, by, bz) = rows[i], rows[j]
+        sx = sx + n * (ay * bz - az * by)
+        sy = sy + n * (az * bx - ax * bz)
+        sz = sz + n * (ax * by - ay * bx)
+    return sx / d, sy / d, sz / d
 
 
 def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""The typed correction constants against their derivation, in exact
-arithmetic.
+"""The typed correction constants, the float node samples and the float
+second-order form against their derivation in exact arithmetic.
 
 A Runge-Kutta scheme applied to the rotation-vector equation
 ``phi' = omega + 1/2 phi x omega + ...`` gives, to second order in ``dt``,
@@ -15,7 +15,10 @@ weights on the increments and a correction
 ``beta = sum_{i<j} K_ij theta_i x theta_j``.  Everything below runs on
 ``fractions.Fraction``: the tableaux are read back to the rationals their
 floats round, so a typed constant is checked against the procedure and not
-against another typed constant.
+against another typed constant.  ``rate_model.rk_node_samples`` and
+``rk.delta_phi_closed`` compute the two steps in floats for any window
+shape and any tableau; they are held to the exact answer within a few
+rounding errors.
 """
 
 import math
@@ -26,12 +29,12 @@ import pytest
 
 from coning_kit.coning import MILLER, RK4_THETA3
 from coning_kit.kinematics import _C_TAYLOR
-from coning_kit.rate_model import (_QUAD_NODE_MAP, MeasurementWindow,
-                                   _fit_integral_system, eval_rate,
+from coning_kit.rate_model import (MeasurementWindow, eval_rate,
+                                   fit_polynomial, rk_node_samples,
                                    rk_node_samples_affine)
-from coning_kit.rk import (delta_phi_rk3_closed, delta_phi_rk4_closed,
-                           tableau_explicit_midpoint, tableau_forward_euler,
-                           tableau_rk3, tableau_rk4)
+from coning_kit.rk import (delta_phi_closed, tableau_explicit_midpoint,
+                           tableau_forward_euler, tableau_rk3, tableau_rk4,
+                           tableau_rk6)
 
 EPS = np.finfo(float).eps
 
@@ -81,9 +84,11 @@ def node_map(q, alignment=1):
                                for m in range(q)) for i in range(q))
 
 
-def identity_map(s):
-    """Node rates taken as the unknowns themselves, one per node."""
-    return tuple(Fraction(int(s == node)) for node in NODES)
+def node_basis(factory):
+    """The tableau's distinct nodes, and the map that takes the rate at
+    each of them as an unknown of its own."""
+    nodes = sorted(set(exact_tableau(factory)[2]))
+    return nodes, lambda s: tuple(Fraction(int(s == node)) for node in nodes)
 
 
 def derive(factory, basis):
@@ -139,11 +144,6 @@ class TestSingleSpeedTables:
 
 
 class TestNodeMaps:
-    def test_quadratic_map_is_24_times_the_exact_one(self):
-        n = node_map(3)
-        assert _QUAD_NODE_MAP.tolist() == \
-            [[float(24 * v) for v in n(s)] for s in NODES]
-
     def test_affine_node_samples_of_unit_increments(self):
         n = node_map(2)
         got = rk_node_samples_affine(MeasurementWindow(
@@ -152,38 +152,57 @@ class TestNodeMaps:
                              NODES):
             assert sample.tolist() == [float(v) for v in n(s)] + [0.0]
 
-    @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_float_integral_system_agrees(self, q):
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_float_solve_agrees(self, q):
+        # The node samples and the fitted model at the nodes, against the
+        # exact rates of the exact increments' binary values.
+        rng = np.random.default_rng(100 + q)
         for alignment in range(q):
             n = node_map(q, alignment)
-            for i in range(q):
-                inc = np.zeros((q, 3))
-                inc[i, 0] = 1.0
-                model = _fit_integral_system(
-                    MeasurementWindow(inc, 1.0, alignment))
-                for s in NODES:
-                    assert eval_rate(model, float(s))[0] == \
-                        pytest.approx(float(n(s)[i]), abs=1e-12)
+            for dt in (1e-3, 0.1, 1.0):
+                window = MeasurementWindow(rng.uniform(-1.0, 1.0, (q, 3)),
+                                           dt, alignment)
+                theta = [[Fraction(v) for v in row]
+                         for row in window.increments.tolist()]
+                got = rk_node_samples(window)
+                model = fit_polynomial(window)
+                scale = np.abs(window.increments).max() / dt
+                for sample, s in zip((got.omega0, got.omega_mid, got.omega1),
+                                     NODES):
+                    want = np.array([float(sum(ni * row[k] for ni, row
+                                               in zip(n(s), theta))
+                                           / Fraction(dt))
+                                     for k in range(3)])
+                    assert np.abs(sample - want).max() <= 1e-13 * scale
+                    fitted = eval_rate(model, float(s) * dt)
+                    assert np.abs(fitted - want).max() <= 1e-12 * scale
+
+
+ALL_TABLEAUX = [tableau_forward_euler, tableau_explicit_midpoint,
+                tableau_rk3, tableau_rk4, tableau_rk6]
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("factory, closed", [
-        (tableau_rk3, delta_phi_rk3_closed),
-        (tableau_rk4, delta_phi_rk4_closed)])
-    def test_expansion_on_the_node_rates(self, factory, closed):
-        # With w(0), w(1/2), w(1) = e_x, e_y, e_z each cross term lands in
-        # its own component: e_x x e_y = e_z, e_y x e_z = e_x,
-        # e_x x e_z = -e_y.  The first-order part scales with dt and the
-        # cross term with dt^2, so three step sizes separate them.
-        weights, k = derive(factory, identity_map)
-        first = np.array([float(v) for v in weights])
-        cross = np.array([float(k.get((1, 2), 0)), -float(k.get((0, 2), 0)),
-                          float(k.get((0, 1), 0))])
-        eye = np.eye(3)
-        for dt in (0.5, 1.0, 2.0):
-            got = closed(eye[0], eye[1], eye[2], dt)
-            want = dt * first + dt * dt * cross
-            assert np.abs(got - want).max() <= 4.0 * EPS * dt * dt
+    @pytest.mark.parametrize("factory", ALL_TABLEAUX)
+    def test_expansion_on_the_node_rates(self, factory):
+        # One random rate per distinct node; the first-order part scales
+        # with dt and the cross term with dt^2.
+        nodes, basis = node_basis(factory)
+        weights, k = derive(factory, basis)
+        tab = factory()
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            u = rng.uniform(-1.0, 1.0, (len(nodes), 3))
+            rates = {float(c): row for c, row in zip(nodes, u)}
+            for dt in (0.5, 1.0, 2.0):
+                got = delta_phi_closed(tab, rates.__getitem__, dt)
+                first = sum(float(w) * row for w, row in zip(weights, u))
+                cross = sum(float(v) * np.cross(u[i], u[j])
+                            for (i, j), v in k.items())
+                want = dt * first + dt * dt * cross
+                scale = (dt * sum(abs(float(w)) for w in weights)
+                         + dt * dt * sum(abs(float(v)) for v in k.values()))
+                assert np.abs(got - want).max() <= 8.0 * EPS * scale
 
 
 class TestJacobianSeries:

@@ -34,12 +34,12 @@ from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
 from coning_kit.errors import AngleOutOfDomain, StageEvaluationError
 from coning_kit.kinematics import JacobianMode, bortz_rhs, jinv_coefficient
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
-                                   eval_rate, rk_node_samples_affine)
+                                   eval_rate)
 from coning_kit.rk import (ButcherTableau, integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint, tableau_forward_euler,
                            tableau_rk3, tableau_rk4, tableau_rk6)
 from coning_kit.so3 import (compose, cross, dcm_from_rotation_vector,
-                            orthogonality_defect, orthonormalize)
+                            orthogonality_defect, orthonormalize, wedge)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
                                    PolynomialRate, omega_at,
                                    synth_delta_theta)
@@ -75,15 +75,16 @@ def np_miller(prev, curr):
 
 
 def np_rk4_theta2(window):
-    # The node samples at the default alignment: the cross term does not
-    # change under a shift of time, so it serves any alignment.
-    nodes = rk_node_samples_affine(
-        MeasurementWindow(window.increments, window.dt))
+    # The affine model's node samples w(0), w(dt/2), w(dt) at alignment 1:
+    # the cross term does not change under a shift of time, so it serves
+    # any alignment.
+    prior, curr = window.increments
     dt = window.dt
-    beta = (dt * dt / 12.0) * cross(nodes.omega0 - nodes.omega1,
-                                    nodes.omega_mid)
-    curr = window.increments[window.alignment]
-    return curr + beta, beta
+    omega0 = (prior + curr) / (2.0 * dt)
+    omega_mid = curr / dt
+    omega1 = (3.0 * curr - prior) / (2.0 * dt)
+    beta = (dt * dt / 12.0) * cross(omega0 - omega1, omega_mid)
+    return window.increments[window.alignment] + beta, beta
 
 
 def np_rk4_theta3(window):
@@ -266,6 +267,21 @@ class TestCorrections:
             rk4_theta2(MeasurementWindow(np.ones((3, 3)), 0.1))
         with pytest.raises(ValueError, match="Q=3"):
             rk4_theta3(MeasurementWindow(np.ones((2, 3)), 0.1))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_three_vector_functions_reject_other_lengths(n):
+    # A 4-vector used to lose its fourth component.
+    v, ones = [0.1] * n, np.ones(3)
+    calls = (lambda: dcm_from_rotation_vector(v),
+             lambda: dcm_from_rotation_vector(np.array(v)),
+             lambda: wedge(v), lambda: cross(v, ones), lambda: cross(ones, v),
+             lambda: two_speed_classic([v], ones),
+             lambda: two_speed_classic([ones], v),
+             lambda: miller_single_speed(v, ones))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def random_sampler(rng, t_k, scale):

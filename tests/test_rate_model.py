@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from coning_kit.errors import DegenerateStep
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
-                                   _fit_integral_system,
                                    eval_rate, fit_affine, fit_polynomial,
-                                   fit_quadratic, rk_node_samples_affine,
+                                   fit_quadratic, rk_node_samples,
+                                   rk_node_samples_affine,
                                    rk_node_samples_quadratic)
+
+from test_derivation import NODES, node_map
 
 
 def poly_increments(coeffs, dt, q, alignment=1):
@@ -26,6 +28,17 @@ def poly_increments(coeffs, dt, q, alignment=1):
         lo = (j - alignment) * dt
         rows.append(theta(lo + dt) - theta(lo))
     return np.stack(rows)
+
+
+def assert_derived(samples, window):
+    """``samples`` at t = 0, dt/2, dt are the rates of the exact node map
+    (``test_derivation.node_map``) on the window's increments."""
+    n = node_map(window.q, window.alignment)
+    scale = np.abs(window.increments).max() / window.dt
+    for got, s in zip(samples, NODES):
+        want = (np.array([float(v) for v in n(s)]) @ window.increments
+                / window.dt)
+        assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 class TestWindow:
@@ -47,6 +60,19 @@ class TestWindow:
     def test_rejects_bad_alignment(self):
         with pytest.raises(ValueError):
             MeasurementWindow(np.zeros((2, 3)), 0.1, alignment=2)
+
+    @pytest.mark.parametrize("alignment", [1.5, 1.0, "1", True, None])
+    def test_rejects_non_integer_alignment(self, alignment):
+        # 1.5 used to fit half-shifted intervals, and "1" raised a bare
+        # TypeError.
+        with pytest.raises(ValueError, match="integer"):
+            MeasurementWindow(np.zeros((3, 3)), 0.1, alignment=alignment)
+
+    def test_accepts_numpy_integer_alignment(self):
+        inc = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]])
+        a = rk_node_samples(MeasurementWindow(inc, 0.1, np.int64(0)))
+        b = rk_node_samples(MeasurementWindow(inc, 0.1, 0))
+        assert np.array_equal(a.omega1, b.omega1)
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 3))
@@ -95,12 +121,13 @@ class TestFitAffine:
         assert np.array_equal(model.coeffs[0], [1.0, 0.0, 0.0])
         assert np.array_equal(model.coeffs[1], [2.0, 0.0, 0.0])
 
-    def test_rejects_other_alignment(self):
-        # The closed form assumes spans [-dt, 0] and [0, dt].
+    def test_other_alignment_gives_the_derivation(self):
+        # Spans [0, dt] and [dt, 2 dt]; this used to raise.
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
-        with pytest.raises(ValueError, match="alignment 1"):
-            fit_affine(window)
+        model = fit_affine(window)
+        assert_derived([eval_rate(model, float(s) * 0.1) for s in NODES],
+                       window)
 
     def test_recovers_random_affine_rate(self):
         rng = np.random.default_rng(401)
@@ -190,8 +217,6 @@ class TestFitPolynomial:
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
         model = fit_polynomial(window)
-        assert np.array_equal(model.coeffs,
-                              _fit_integral_system(window).coeffs)
         assert np.allclose(model.coeffs[0], [-0.5, 2.5, 5.5],
                            rtol=0.0, atol=1e-12)
         back = poly_increments(model.coeffs, 0.1, 2, alignment=0)
@@ -207,6 +232,40 @@ class TestFitPolynomial:
                 model = fit_polynomial(MeasurementWindow(inc, dt))
                 back = poly_increments(model.coeffs, dt, q)
                 assert np.max(np.abs(back - inc)) <= 1e-12
+
+
+class TestOverflow:
+    # The suite runs with warnings as errors, so a numpy RuntimeWarning on
+    # the way to the ValueError fails these tests.
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("dt", [1e-200, 1e-310])
+    def test_fit_raises_value_error_only(self, q, dt):
+        window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
+                                   dt)
+        with pytest.raises(ValueError, match="finite"):
+            fit_polynomial(window)
+
+    @pytest.mark.parametrize("q, samples", [
+        (2, rk_node_samples_affine), (3, rk_node_samples_quadratic)])
+    def test_node_samples_raise_value_error_only(self, q, samples):
+        # At dt = 1e-310 the affine samples used to come back infinite.
+        window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
+                                   1e-310)
+        with pytest.raises(ValueError, match="overflow"):
+            samples(window)
+
+    @pytest.mark.parametrize("q, samples", [
+        (2, rk_node_samples_affine), (3, rk_node_samples_quadratic)])
+    def test_node_samples_finite_when_representable(self, q, samples):
+        window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
+                                   1e-200)
+        nodes = samples(window)
+        assert np.isfinite([nodes.omega0, nodes.omega_mid,
+                            nodes.omega1]).all()
+
+    def test_zero_window_fits_at_tiny_dt(self):
+        model = fit_polynomial(MeasurementWindow(np.zeros((3, 3)), 1e-200))
+        assert not model.coeffs.any()
 
 
 class TestEvalRate:
@@ -259,20 +318,21 @@ class TestNodeSamplesAffine:
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(node - expected)) <= 1e-15 * scale
 
-
-    def test_rejects_other_alignment(self):
+    def test_other_alignment_gives_the_derivation(self):
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
-        with pytest.raises(ValueError, match="alignment 1"):
-            rk_node_samples_affine(window)
+        nodes = rk_node_samples_affine(window)
+        assert_derived((nodes.omega0, nodes.omega_mid, nodes.omega1), window)
 
 
 class TestNodeSamplesQuadratic:
     @pytest.mark.parametrize("alignment", [0, 2])
-    def test_rejects_other_alignment(self, alignment):
-        window = MeasurementWindow(np.eye(3), 0.1, alignment=alignment)
-        with pytest.raises(ValueError, match="alignment 1"):
-            rk_node_samples_quadratic(window)
+    def test_other_alignment_gives_the_derivation(self, alignment):
+        window = MeasurementWindow(
+            np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2], [-0.3, 0.2, 0.5]]),
+            0.1, alignment=alignment)
+        nodes = rk_node_samples_quadratic(window)
+        assert_derived((nodes.omega0, nodes.omega_mid, nodes.omega1), window)
 
     def test_equal_increments_give_constant_rate(self):
         # rows of the node map each sum to 24
