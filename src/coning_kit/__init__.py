@@ -20,13 +20,10 @@ from .errors import (AngleOutOfDomain, ConfigError, ConingKitError,
                      NearPiRotation, NoConvergence, NotNearOrthogonal,
                      NotSkewSymmetric, SingularSystem, StageEvaluationError)
 from .kinematics import JacobianMode, bortz_rhs, jinv, jinv_coefficient
-from .rate_model import (MeasurementWindow, RatePolynomial, RkNodeSamples,
-                         eval_rate, fit_affine, fit_polynomial, fit_quadratic,
-                         rk_node_samples, rk_node_samples_affine,
-                         rk_node_samples_quadratic)
-from .rk import (ButcherTableau, delta_phi_closed, delta_phi_rk3_closed,
-                 delta_phi_rk4_closed, integrate_attitude_step, rk_step,
-                 tableau_explicit_midpoint, tableau_forward_euler,
+from .rate_model import (MeasurementWindow, RatePolynomial, eval_rate,
+                         fit_polynomial, rk_node_samples)
+from .rk import (ButcherTableau, delta_phi_closed, integrate_attitude_step,
+                 rk_step, tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4, validate_tableau)
 from .so3 import (attitude_error_angle, compose, cross,
                   dcm_from_rotation_vector, orthogonality_defect,

@@ -260,8 +260,11 @@ def estimate_order(records, floor: float = ERROR_FLOOR
     Records at or below ``floor``, the smallest error the truth resolves,
     are excluded before fitting; at least 3 usable records with distinct
     step sizes are required (``InsufficientData`` otherwise).  Returns
-    (slope, RMS fit residual).
+    (slope, RMS fit residual); ``ValueError`` on a non-finite record.
     """
+    for r in records:
+        if not (math.isfinite(r.dt) and math.isfinite(r.final_error_angle)):
+            raise ValueError(f"cannot fit a non-finite record: {r!r}")
     usable = [r for r in records if r.final_error_angle > floor]
     dts = sorted({r.dt for r in usable})
     if len(usable) < 3 or len(dts) < 3:

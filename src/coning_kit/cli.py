@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from . import bench, coning, so3, trajectory
+from . import bench, coning, rk, so3, trajectory
 from .bench import MethodId, MethodKind, SweepConfig
 from .errors import ConfigError, ConingKitError
 from .kinematics import JacobianMode
-from .rate_model import MeasurementWindow
+from .rate_model import MeasurementWindow, rk_node_samples
 from .rk import (tableau_explicit_midpoint, tableau_forward_euler,
                  tableau_rk3, tableau_rk4, tableau_rk6, validate_tableau)
 
@@ -239,6 +239,20 @@ def _validation_checks(rng):
         worst = max(worst, float(np.max(np.abs(back - phi))))
     yield ("exp-log-roundtrip", worst <= 1e-11,
            f"max round-trip deviation {worst:.3e}")
+
+    # The rk4 closed form on node samples reproduces rk4_theta2 and rk4_theta3.
+    worst, rk4 = 0.0, tableau_rk4()
+    for q, solve, bound in ((2, coning.rk4_theta2, 2e-15),
+                            (3, coning.rk4_theta3, 1e-13)):
+        for _ in range(1000):
+            dt = 10.0 ** rng.uniform(-2, 0)
+            window = MeasurementWindow(rng.uniform(-1, 1, (q, 3)), dt)
+            nodes = dict(zip((0.0, 0.5, 1.0), rk_node_samples(window)))
+            want = rk.delta_phi_closed(rk4, nodes.__getitem__, dt)
+            gap = np.abs(solve(window).delta_phi - want).max()
+            worst = max(worst, gap / bound / max(1e-3, np.abs(want).max()))
+    yield ("node-sample-procedure", worst <= 1.0,
+           f"max difference at {worst:.3e} of bound")
 
 
 def _cmd_validate(_args) -> int:

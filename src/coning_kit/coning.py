@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyWindow
-from .rate_model import MeasurementWindow, _require_q
+from .rate_model import MeasurementWindow
 from .rk import OmegaSampler, _check_dt
-from .so3 import _cross_sum, cross
+from .so3 import _cross_sum, _finite, cross
 from .trajectory import _GL_PAIRS
 
 
@@ -82,7 +82,12 @@ def _two_speed_phi(rows, px, py, pz):
 def _result(beta, curr) -> ConingResult:
     """The correction ``beta`` and the increment ``curr`` it corrects."""
     (bx, by, bz), (cx, cy, cz) = beta, curr
-    return ConingResult(np.array((cx + bx, cy + by, cz + bz)), np.array(beta))
+    return ConingResult(_finite((cx + bx, cy + by, cz + bz)), np.array(beta))
+
+
+def _require_q(window: MeasurementWindow, q: int) -> None:
+    if window.q != q:
+        raise ValueError(f"expected a Q={q} window, got Q={window.q}")
 
 
 def miller_single_speed(dtheta_prev: np.ndarray,
@@ -90,7 +95,8 @@ def miller_single_speed(dtheta_prev: np.ndarray,
     """Single-speed correction ``beta = (1/12) dtheta_prev x dtheta_curr``.
 
     Exact for an affine rate history; ``beta`` vanishes identically for
-    parallel increments (single-axis motion).
+    parallel increments (single-axis motion).  Like every correction here,
+    raises ``NonFiniteIncrement`` if the result is not finite.
     """
     rows = (np.asarray(dtheta_prev, dtype=float).tolist(),
             np.asarray(dtheta_curr, dtype=float).tolist())
@@ -100,8 +106,8 @@ def miller_single_speed(dtheta_prev: np.ndarray,
 def rk4_theta2(window: MeasurementWindow) -> ConingResult:
     """Four-stage solver correction from a (prior, current) window.
 
-    Feeds the affine-model node samples (``rk_node_samples_affine``) through
-    the fourth-order closed form.  The Simpson term of that form
+    Feeds the affine-model node samples (``rk_node_samples``) through the
+    fourth-order closed form.  The Simpson term of that form
     reconstructs the current increment identically for affine node samples,
     so only the cross term is evaluated; the result equals
     ``miller_single_speed`` on the same inputs to a few ulp (the tests
@@ -147,7 +153,7 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
     this is exactly the single-speed correction.  Each of the m rows of
     ``increments``, like ``dtheta_before_first``, is any sequence of three
     numbers (a numpy array of shape (3,) or a list); ``ValueError`` for any
-    other shape.
+    other shape, and ``NonFiniteIncrement`` if the result is not finite.
     """
     rows = np.asarray(increments, dtype=float)
     before = np.asarray(dtheta_before_first, dtype=float)
@@ -155,7 +161,7 @@ def two_speed_classic(increments, dtheta_before_first) -> np.ndarray:
         raise EmptyWindow("two-speed correction needs at least one increment")
     if rows.shape[1:] != (3,) or before.shape != (3,):
         raise ValueError("two-speed increments must be 3-vectors")
-    return np.array(_two_speed_phi(rows.tolist(), *before.tolist()))
+    return _finite(_two_speed_phi(rows.tolist(), *before.tolist()))
 
 
 def goodman_robinson_beta_quadrature(sampler: OmegaSampler, t0: float,

@@ -37,7 +37,7 @@ class StageEvaluationError(ConingKitError):
 
 
 class NonFiniteIncrement(ConingKitError, ValueError):
-    """The array engine read an increment that is not finite."""
+    """An increment the array engine read, or a correction, is not finite."""
 
 
 class DegenerateStep(ConingKitError):

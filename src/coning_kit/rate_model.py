@@ -93,21 +93,6 @@ class RatePolynomial:
         return self.coeffs.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RkNodeSamples:
-    """Angular-rate samples at the step's three solver nodes."""
-
-    omega0: np.ndarray
-    omega_mid: np.ndarray
-    omega1: np.ndarray
-
-
-def _require_q(window: MeasurementWindow, q: int) -> MeasurementWindow:
-    if len(window.increments) != q:
-        raise ValueError(f"expected a Q={q} window, got Q={window.q}")
-    return window
-
-
 @functools.cache
 def _solve(q: int, alignment: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of the integral system of a (q, alignment) window, and its
@@ -129,24 +114,14 @@ def _solve(q: int, alignment: int) -> tuple[np.ndarray, np.ndarray]:
     return inv, nodes
 
 
-def fit_affine(window: MeasurementWindow) -> RatePolynomial:
-    """``fit_polynomial`` of a Q=2 window."""
-    return fit_polynomial(_require_q(window, 2))
-
-
-def fit_quadratic(window: MeasurementWindow) -> RatePolynomial:
-    """``fit_polynomial`` of a Q=3 window."""
-    return fit_polynomial(_require_q(window, 3))
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def fit_polynomial(window: MeasurementWindow) -> RatePolynomial:
     """Degree Q-1 rate model from any Q >= 2 consecutive increments.
 
-    The shape's inverse integral system gives coefficient m times
-    ``dt**(m + 1)``, divided by ``dt`` that many times.  Raises
-    ``SingularSystem`` for an ill-conditioned shape and ``ValueError`` if a
-    coefficient overflows.
+    Affine at Q = 2, quadratic at Q = 3.  The shape's inverse integral
+    system gives coefficient m times ``dt**(m + 1)``, divided by ``dt``
+    that many times.  Raises ``SingularSystem`` for an ill-conditioned
+    shape and ``ValueError`` if a coefficient overflows.
     """
     q, dt = window.q, window.dt
     coeffs = _solve(q, window.alignment)[0] @ window.increments
@@ -165,9 +140,11 @@ def eval_rate(model: RatePolynomial, t: float) -> np.ndarray:
 
 
 @np.errstate(over="raise")
-def rk_node_samples(window: MeasurementWindow) -> RkNodeSamples:
-    """The fitted model's rates at t = 0, dt/2, dt: the shape's node map
-    applied to the increments, over ``dt``.  Raises ``SingularSystem`` for
+def rk_node_samples(window: MeasurementWindow) -> np.ndarray:
+    """The fitted model's rates ``w0, wm, w1`` at t = 0, dt/2, dt, as rows of
+    a read-only (3, 3) array: the node map applied to the increments over
+    ``dt``.  Affine model (Q = 2) at alignment 1: ``(prior + curr)/(2 dt)``,
+    ``curr/dt``, ``(3 curr - prior)/(2 dt)``.  Raises ``SingularSystem`` for
     an ill-conditioned shape and ``ValueError`` if a sample overflows."""
     # The window's increments are finite, so only an overflow makes a
     # sample non-finite, and it raises here.
@@ -176,15 +153,5 @@ def rk_node_samples(window: MeasurementWindow) -> RkNodeSamples:
                  @ window.increments / window.dt)
     except FloatingPointError as exc:
         raise ValueError(f"node samples overflow, dt = {window.dt!r}") from exc
-    return RkNodeSamples(nodes[0], nodes[1], nodes[2])
-
-
-def rk_node_samples_affine(window: MeasurementWindow) -> RkNodeSamples:
-    """``rk_node_samples`` of a Q=2 window; at alignment 1, ``(prior +
-    curr)/(2 dt)``, ``curr/dt`` and ``(3 curr - prior)/(2 dt)``."""
-    return rk_node_samples(_require_q(window, 2))
-
-
-def rk_node_samples_quadratic(window: MeasurementWindow) -> RkNodeSamples:
-    """``rk_node_samples`` of a Q=3 window."""
-    return rk_node_samples(_require_q(window, 3))
+    nodes.setflags(write=False)
+    return nodes

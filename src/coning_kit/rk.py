@@ -24,7 +24,6 @@ columns.  Both step routines read the tableau's coefficients from the plan
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import StageEvaluationError
 from .kinematics import JacobianMode, _apply_jacobian, jinv_coefficient
-from .so3 import _cross_sum
+from .so3 import _cross_sum, _finite
 
 OdeFunction = Callable[[float, np.ndarray], np.ndarray]
 OmegaSampler = Callable[[float], np.ndarray]
@@ -240,7 +239,8 @@ def delta_phi_closed(tab: ButcherTableau, omega: OmegaSampler,
     ``dt sum_nu b_nu w_nu + (dt^2/2) sum_nu,l b_nu A[nu, l] w_l x w_nu``,
     with ``w_nu = omega(c[nu])`` the rate at stage ``nu``'s node (in units
     of the step); the cross term is the table ``(2, ((l, nu, b_nu A[nu, l]),
-    ...))`` that the tableau builds.
+    ...))`` that the tableau builds.  Raises ``NonFiniteIncrement``, a
+    ``ValueError``, if a sample it reads or the result is not finite.
     """
     _check_dt(dt)
     stage_plan, weights = tab._plan
@@ -254,23 +254,5 @@ def delta_phi_closed(tab: ButcherTableau, omega: OmegaSampler,
         fz += b_l * z
     cx, cy, cz = _cross_sum(tab._expansion, rows)
     h = dt * dt
-    return np.array([dt * fx + h * cx, dt * fy + h * cy, dt * fz + h * cz])
+    return _finite((dt * fx + h * cx, dt * fy + h * cy, dt * fz + h * cz))
 
-
-_rk3, _rk4 = functools.cache(tableau_rk3), functools.cache(tableau_rk4)
-
-
-def delta_phi_rk3_closed(omega0: np.ndarray, omega_mid: np.ndarray,
-                         omega1: np.ndarray, dt: float) -> np.ndarray:
-    """``delta_phi_closed`` of ``tableau_rk3`` on the rates at t = 0, dt/2, dt:
-    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(2 w0 x wm + 2 wm x w1 - w0 x w1)``."""
-    return delta_phi_closed(_rk3(), {
-        0.0: omega0, 0.5: omega_mid, 1.0: omega1}.__getitem__, dt)
-
-
-def delta_phi_rk4_closed(omega0: np.ndarray, omega_mid: np.ndarray,
-                         omega1: np.ndarray, dt: float) -> np.ndarray:
-    """``delta_phi_closed`` of ``tableau_rk4`` on the rates at t = 0, dt/2, dt:
-    ``(dt/6)(w0 + 4 wm + w1) + (dt^2/12)(w0 - w1) x wm``."""
-    return delta_phi_closed(_rk4(), {
-        0.0: omega0, 0.5: omega_mid, 1.0: omega1}.__getitem__, dt)

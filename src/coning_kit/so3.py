@@ -22,10 +22,12 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+from math import isfinite
 
 import numpy as np
 
-from .errors import NearPiRotation, NotNearOrthogonal, NotSkewSymmetric
+from .errors import (NearPiRotation, NonFiniteIncrement, NotNearOrthogonal,
+                     NotSkewSymmetric)
 
 #: Frobenius tolerance for accepting a matrix as skew-symmetric in ``vee``.
 SKEW_TOL = 1e-9
@@ -121,6 +123,14 @@ def _cross_sum(table, rows):
         sy = sy + n * (az * bx - ax * bz)
         sz = sz + n * (ax * by - ay * bx)
     return sx / d, sy / d, sz / d
+
+
+def _finite(v) -> np.ndarray:
+    """Float triple ``v`` as an array; ``NonFiniteIncrement`` if not finite."""
+    x, y, z = v
+    if not (isfinite(x) and isfinite(y) and isfinite(z)):
+        raise NonFiniteIncrement(f"rotation increment is not finite: {v!r}")
+    return np.array(v)
 
 
 def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from coning_kit.coning import (affine_coning_oracle,
                                two_speed_classic)
 from coning_kit.kinematics import JacobianMode
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
-                                   fit_quadratic, rk_node_samples_quadratic)
+                                   fit_polynomial, rk_node_samples)
 from coning_kit.rk import rk_step, tableau_rk4
 from coning_kit.so3 import (attitude_error_angle, dcm_from_rotation_vector,
                             rotation_vector_from_dcm)
@@ -234,13 +234,12 @@ def test_criterion_7_quadratic_fit_reconstruction():
         incs = np.stack([theta(j * dt) - theta((j - 1) * dt)
                          for j in (0, 1, 2)])
         window = MeasurementWindow(incs, dt)
-        fitted = fit_quadratic(window).coeffs
+        fitted = fit_polynomial(window).coeffs
         scale = np.max(np.abs(coeffs))
         worst_fit = max(worst_fit,
                         float(np.max(np.abs(fitted - coeffs))) / scale)
-        nodes = rk_node_samples_quadratic(window)
-        for sample, t in ((nodes.omega0, 0.0), (nodes.omega_mid, 0.5 * dt),
-                          (nodes.omega1, dt)):
+        w0, wm, w1 = rk_node_samples(window)
+        for sample, t in ((w0, 0.0), (wm, 0.5 * dt), (w1, dt)):
             true_rate = coeffs[0] + coeffs[1] * t + coeffs[2] * t * t
             worst_node = max(worst_node,
                              float(np.max(np.abs(sample - true_rate))))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import warnings
 
@@ -88,6 +89,21 @@ class TestEstimateOrder:
         with pytest.raises(InsufficientData):
             estimate_order([record(m, 0.5, 1e-15), record(m, 0.25, 1e-15),
                             record(m, 0.125, 1e-15)])
+
+    @pytest.mark.parametrize("dt, error", [
+        (0.03125, math.nan), (0.03125, math.inf), (math.nan, 1e-3),
+        (math.inf, 1e-3)])
+    def test_refuses_a_non_finite_record(self, dt, error):
+        # A NaN error was dropped by the floor test (nan > floor is false)
+        # and the rest fitted to (2.0, 0.0); a NaN dt gave (nan, nan).
+        m = MethodId(MethodKind.RK4_OMEGA)
+        bad = ErrorRecord(method=m, dt=dt, final_error_angle=error, steps=32,
+                          wall_time=0.0)
+        records = [record(m, d, 0.37 * d ** 2)
+                   for d in (0.5, 0.25, 0.125, 0.0625)] + [bad]
+        with pytest.raises(ValueError, match="non-finite record") as info:
+            estimate_order(records)
+        assert repr(bad) in str(info.value)
 
     @pytest.mark.parametrize("signal", ["coning", "fourier3", "poly3"])
     def test_default_sweep_fits_match_polyfit(self, signal):

@@ -70,7 +70,8 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         for check in ("increment-identity", "single-speed-identity",
-                      "coning-quadrature", "exp-log-roundtrip"):
+                      "coning-quadrature", "exp-log-roundtrip",
+                      "node-sample-procedure"):
             assert f"PASS {check}" in out
 
 

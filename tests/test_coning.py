@@ -10,14 +10,15 @@ from coning_kit.coning import (affine_coning_oracle,
                                goodman_robinson_beta_quadrature,
                                miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
-from coning_kit.errors import EmptyWindow
-from coning_kit.rate_model import (MeasurementWindow, rk_node_samples_affine,
-                                   rk_node_samples_quadratic)
-from coning_kit.rk import delta_phi_rk4_closed
+from coning_kit.errors import EmptyWindow, NonFiniteIncrement
+from coning_kit.rate_model import MeasurementWindow, rk_node_samples
+from coning_kit.rk import delta_phi_closed, tableau_rk4
 from coning_kit.so3 import rotation_vector_from_dcm
 from coning_kit.trajectory import (PolynomialRate, reference_attitude,
                                    synth_delta_theta)
 from coning_kit.rate_model import RatePolynomial
+
+from conftest import node_sampler
 
 
 def affine_increments(p1, p2, dt, spans):
@@ -63,6 +64,17 @@ class TestMillerSingleSpeed:
             delta = miller_single_speed(prev, curr).delta_phi
             assert np.max(np.abs(delta - truth)) <= 5e-11
 
+    @pytest.mark.parametrize("prev, curr", [
+        ([1.0, 0.0, 0.0], [0.0, math.inf, 0.0]),
+        ([math.nan, 0.0, 0.0], [0.0, 1.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, math.nan]),
+        # Finite increments whose cross product overflows.
+        ([1e200, 0.0, 0.0], [0.0, 1e200, 0.0])])
+    def test_refuses_a_non_finite_result(self, prev, curr):
+        # At [1, 0, 0], [0, inf, 0] the result was [nan, inf, inf].
+        with pytest.raises(NonFiniteIncrement, match="not finite"):
+            miller_single_speed(prev, curr)
+
 
 class TestRk4Theta2:
     def test_identity_with_single_speed(self):
@@ -95,12 +107,17 @@ class TestRk4Theta2:
             prev, curr = rng.uniform(-1.0, 1.0, (2, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(np.stack([prev, curr]), dt)
-            nodes = rk_node_samples_affine(window)
-            literal = delta_phi_rk4_closed(nodes.omega0, nodes.omega_mid,
-                                           nodes.omega1, dt)
+            literal = delta_phi_closed(
+                tableau_rk4(), node_sampler(rk_node_samples(window)), dt)
             got = rk4_theta2(window).delta_phi
             scale = max(1e-3, np.max(np.abs(literal)))
             assert np.max(np.abs(got - literal)) <= 2e-15 * scale
+
+    def test_refuses_an_overflow(self):
+        # The node samples of dt = 1e-310 overflow; the result was NaN.
+        window = MeasurementWindow(np.eye(3)[:2], 1e-310)
+        with pytest.raises(NonFiniteIncrement):
+            rk4_theta2(window)
 
     def test_constant_rate_window_gives_zero_beta(self):
         inc = np.array([0.2, 0.0, 0.0])
@@ -141,12 +158,17 @@ class TestRk4Theta3:
             inc = rng.uniform(-1.0, 1.0, (3, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(inc, dt)
-            nodes = rk_node_samples_quadratic(window)
-            literal = delta_phi_rk4_closed(nodes.omega0, nodes.omega_mid,
-                                           nodes.omega1, dt)
+            literal = delta_phi_closed(
+                tableau_rk4(), node_sampler(rk_node_samples(window)), dt)
             got = rk4_theta3(window).delta_phi
             scale = max(1e-3, np.max(np.abs(literal)))
             assert np.max(np.abs(got - literal)) <= 1e-13 * scale
+
+    def test_refuses_an_overflow(self):
+        window = MeasurementWindow(
+            [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]], 1.0)
+        with pytest.raises(NonFiniteIncrement):
+            rk4_theta3(window)
 
     @pytest.mark.parametrize("alignment", [0, 2])
     def test_rejects_other_alignment(self, alignment):
@@ -217,6 +239,17 @@ class TestTwoSpeedClassic:
     def test_empty_window_rejected(self):
         with pytest.raises(EmptyWindow):
             two_speed_classic([], np.zeros(3))
+
+    @pytest.mark.parametrize("rows, before", [
+        ([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]], [0.0, 0.0, 0.0]),
+        ([[1.0, 0.0, 0.0]], [0.0, math.inf, 0.0]),
+        ([[0.1, 0.2, 0.3]], [math.nan, 0.0, 0.0]),
+        # Finite increments whose running sum overflows.
+        ([[1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], [0.0, 0.0, 0.0])])
+    def test_refuses_a_non_finite_result(self, rows, before):
+        # A NaN row gave NaN, and before = [0, inf, 0] gave [nan, 0, -inf].
+        with pytest.raises(NonFiniteIncrement, match="not finite"):
+            two_speed_classic(rows, before)
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_lists_and_arrays_give_equal_results(self, m):

@@ -30,8 +30,7 @@ import pytest
 from coning_kit.coning import MILLER, RK4_THETA3
 from coning_kit.kinematics import _C_TAYLOR
 from coning_kit.rate_model import (MeasurementWindow, eval_rate,
-                                   fit_polynomial, rk_node_samples,
-                                   rk_node_samples_affine)
+                                   fit_polynomial, rk_node_samples)
 from coning_kit.rk import (delta_phi_closed, tableau_explicit_midpoint,
                            tableau_forward_euler, tableau_rk3, tableau_rk4,
                            tableau_rk6)
@@ -146,10 +145,9 @@ class TestSingleSpeedTables:
 class TestNodeMaps:
     def test_affine_node_samples_of_unit_increments(self):
         n = node_map(2)
-        got = rk_node_samples_affine(MeasurementWindow(
+        got = rk_node_samples(MeasurementWindow(
             np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1.0))
-        for sample, s in zip((got.omega0, got.omega_mid, got.omega1),
-                             NODES):
+        for sample, s in zip(got, NODES):
             assert sample.tolist() == [float(v) for v in n(s)] + [0.0]
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -167,8 +165,7 @@ class TestNodeMaps:
                 got = rk_node_samples(window)
                 model = fit_polynomial(window)
                 scale = np.abs(window.increments).max() / dt
-                for sample, s in zip((got.omega0, got.omega_mid, got.omega1),
-                                     NODES):
+                for sample, s in zip(got, NODES):
                     want = np.array([float(sum(ni * row[k] for ni, row
                                                in zip(n(s), theta))
                                            / Fraction(dt))

@@ -18,20 +18,17 @@ PUBLIC_NAMES = (
     "InsufficientData", "JacobianMode", "MeasurementWindow", "MethodId",
     "MethodKind", "MethodSummary", "NearPiRotation", "NoConvergence",
     "NotNearOrthogonal", "NotSkewSymmetric", "PRESET_NAMES",
-    "PolynomialRate", "RatePolynomial", "RkNodeSamples", "SingularSystem",
+    "PolynomialRate", "RatePolynomial", "SingularSystem",
     "StageEvaluationError", "SweepConfig", "affine_coning_oracle",
     "appendix_increment_identity_check", "attitude_error_angle", "bench",
     "bortz_rhs", "compose", "coning", "cross", "dcm_from_rotation_vector",
-    "delta_phi_closed", "delta_phi_rk3_closed", "delta_phi_rk4_closed",
-    "errors",
-    "estimate_order", "eval_rate", "exact_attitude", "fit_affine",
-    "fit_polynomial", "fit_quadratic", "goodman_robinson_beta_quadrature",
+    "delta_phi_closed", "errors", "estimate_order", "eval_rate",
+    "exact_attitude", "fit_polynomial", "goodman_robinson_beta_quadrature",
     "integrate_attitude_step", "jinv", "jinv_coefficient", "kinematics",
     "miller_single_speed", "omega_at", "orthogonality_defect",
     "orthonormalize", "preset", "propagate", "rate_model",
     "reference_attitude", "rk", "rk4_theta2", "rk4_theta3",
-    "rk_node_samples", "rk_node_samples_affine", "rk_node_samples_quadratic",
-    "rk_step",
+    "rk_node_samples", "rk_step",
     "rotation_vector_from_dcm", "run_sweep", "so3", "synth_delta_theta",
     "tableau_explicit_midpoint", "tableau_forward_euler", "tableau_rk3",
     "tableau_rk4", "trajectory", "two_speed_classic", "validate_tableau",
@@ -49,4 +46,4 @@ def test_public_names_pinned():
          "print(*sorted(n for n in dir(coning_kit) if n[0] != '_'))"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert tuple(proc.stdout.split()) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 80
+    assert len(PUBLIC_NAMES) == 73

@@ -4,11 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coning_kit.errors import DegenerateStep
-from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
-                                   eval_rate, fit_affine, fit_polynomial,
-                                   fit_quadratic, rk_node_samples,
-                                   rk_node_samples_affine,
-                                   rk_node_samples_quadratic)
+from coning_kit.rate_model import (MeasurementWindow, RatePolynomial, _solve,
+                                   eval_rate, fit_polynomial, rk_node_samples)
 
 from test_derivation import NODES, node_map
 
@@ -72,7 +69,7 @@ class TestWindow:
         inc = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]])
         a = rk_node_samples(MeasurementWindow(inc, 0.1, np.int64(0)))
         b = rk_node_samples(MeasurementWindow(inc, 0.1, 0))
-        assert np.array_equal(a.omega1, b.omega1)
+        assert np.array_equal(a[2], b[2])
 
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 3))
@@ -110,14 +107,14 @@ def test_rate_polynomial_rejects_non_finite(coeffs, origin):
 class TestFitAffine:
     def test_constant_rate(self):
         inc = np.array([0.4, 0.0, 0.0])
-        model = fit_affine(MeasurementWindow(np.stack([inc, inc]), 0.2))
+        model = fit_polynomial(MeasurementWindow(np.stack([inc, inc]), 0.2))
         assert np.allclose(model.coeffs[0], inc / 0.2, rtol=0, atol=1e-16)
         assert np.array_equal(model.coeffs[1], np.zeros(3))
 
     def test_hand_worked_example(self):
         window = MeasurementWindow(
             np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
-        model = fit_affine(window)
+        model = fit_polynomial(window)
         assert np.array_equal(model.coeffs[0], [1.0, 0.0, 0.0])
         assert np.array_equal(model.coeffs[1], [2.0, 0.0, 0.0])
 
@@ -125,7 +122,7 @@ class TestFitAffine:
         # Spans [0, dt] and [dt, 2 dt]; this used to raise.
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
-        model = fit_affine(window)
+        model = fit_polynomial(window)
         assert_derived([eval_rate(model, float(s) * 0.1) for s in NODES],
                        window)
 
@@ -135,7 +132,7 @@ class TestFitAffine:
             coeffs = rng.uniform(-1.0, 1.0, (2, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(poly_increments(coeffs, dt, 2), dt)
-            model = fit_affine(window)
+            model = fit_polynomial(window)
             assert np.max(np.abs(model.coeffs - coeffs)) <= 1e-13
 
 
@@ -143,7 +140,7 @@ class TestFitQuadratic:
     def test_constant_rate(self):
         inc = np.array([0.0, -0.6, 0.0])
         window = MeasurementWindow(np.stack([inc, inc, inc]), 0.3)
-        model = fit_quadratic(window)
+        model = fit_polynomial(window)
         assert np.allclose(model.coeffs[0], inc / 0.3, rtol=1e-15, atol=1e-15)
         assert np.max(np.abs(model.coeffs[1:])) <= 1e-13
 
@@ -155,7 +152,7 @@ class TestFitQuadratic:
             coeffs = rng.uniform(-1.0, 1.0, (3, 3))
             dt = 10.0 ** rng.uniform(-1.3, 0)
             window = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
-            model = fit_quadratic(window)
+            model = fit_polynomial(window)
             assert np.max(np.abs(model.coeffs - coeffs)) <= 1e-12
 
     def test_affine_data_yields_zero_leading_coefficient(self):
@@ -164,26 +161,37 @@ class TestFitQuadratic:
             coeffs = rng.uniform(-1.0, 1.0, (2, 3))
             dt = 0.05
             window = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
-            model = fit_quadratic(window)
+            model = fit_polynomial(window)
             assert np.max(np.abs(model.coeffs[2])) <= 1e-12
 
 
 class TestFitPolynomial:
     def test_q2_specializes_to_affine(self):
+        # (prior, curr) over [-dt, 0], [0, dt]: p0 = (prior + curr)/(2 dt),
+        # p1 = (curr - prior)/dt^2.
         rng = np.random.default_rng(404)
         for _ in range(100):
-            window = MeasurementWindow(rng.uniform(-1.0, 1.0, (2, 3)),
-                                       10.0 ** rng.uniform(-2, 0))
-            a = fit_affine(window).coeffs
-            b = fit_polynomial(window).coeffs
+            prior, curr = rng.uniform(-1.0, 1.0, (2, 3))
+            dt = 10.0 ** rng.uniform(-2, 0)
+            a = np.stack([(prior + curr) / (2.0 * dt),
+                          (curr - prior) / dt / dt])
+            b = fit_polynomial(MeasurementWindow(np.stack([prior, curr]),
+                                                 dt)).coeffs
             assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 
     def test_q3_specializes_to_quadratic(self):
+        # (prior, curr, next) over [-dt, 0], [0, dt], [dt, 2 dt]:
+        # p0 = (2 prior + 5 curr - next)/(6 dt), p1 = (curr - prior)/dt^2,
+        # p2 = (next - 2 curr + prior)/(2 dt^3).
         rng = np.random.default_rng(405)
+        dt = 0.25
         for _ in range(100):
-            window = MeasurementWindow(rng.uniform(-1.0, 1.0, (3, 3)), 0.25)
-            a = fit_quadratic(window).coeffs
-            b = fit_polynomial(window).coeffs
+            prior, curr, nxt = rng.uniform(-1.0, 1.0, (3, 3))
+            a = np.stack([(2.0 * prior + 5.0 * curr - nxt) / (6.0 * dt),
+                          (curr - prior) / dt ** 2,
+                          (nxt - 2.0 * curr + prior) / (2.0 * dt ** 3)])
+            b = fit_polynomial(MeasurementWindow(
+                np.stack([prior, curr, nxt]), dt)).coeffs
             assert np.max(np.abs(a - b)) <= 1e-14 * max(1.0, np.max(np.abs(a)))
 
     def test_q4_recovers_cubic_rate(self):
@@ -245,23 +253,19 @@ class TestOverflow:
         with pytest.raises(ValueError, match="finite"):
             fit_polynomial(window)
 
-    @pytest.mark.parametrize("q, samples", [
-        (2, rk_node_samples_affine), (3, rk_node_samples_quadratic)])
-    def test_node_samples_raise_value_error_only(self, q, samples):
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_node_samples_raise_value_error_only(self, q):
         # At dt = 1e-310 the affine samples used to come back infinite.
         window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
                                    1e-310)
         with pytest.raises(ValueError, match="overflow"):
-            samples(window)
+            rk_node_samples(window)
 
-    @pytest.mark.parametrize("q, samples", [
-        (2, rk_node_samples_affine), (3, rk_node_samples_quadratic)])
-    def test_node_samples_finite_when_representable(self, q, samples):
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_node_samples_finite_when_representable(self, q):
         window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
                                    1e-200)
-        nodes = samples(window)
-        assert np.isfinite([nodes.omega0, nodes.omega_mid,
-                            nodes.omega1]).all()
+        assert np.isfinite(rk_node_samples(window)).all()
 
     def test_zero_window_fits_at_tiny_dt(self):
         model = fit_polynomial(MeasurementWindow(np.zeros((3, 3)), 1e-200))
@@ -288,20 +292,36 @@ class TestEvalRate:
             assert np.max(np.abs(eval_rate(model, t) - naive)) <= 1e-15
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_node_samples_are_the_node_map_product(q):
+    # The rows once held as three fields: the node map times the
+    # increments over dt, bit for bit, in a frozen (3, 3) array.
+    rng = np.random.default_rng(414 + q)
+    for alignment in range(q):
+        for dt in (1e-3, 0.1, 1.0):
+            window = MeasurementWindow(rng.uniform(-1.0, 1.0, (q, 3)), dt,
+                                       alignment)
+            nodes = rk_node_samples(window)
+            assert nodes.shape == (3, 3) and not nodes.flags.writeable
+            want = _solve(q, alignment)[1] @ window.increments / dt
+            w0, wm, w1 = nodes
+            for got, row in zip((w0, wm, w1), want):
+                assert got.tobytes() == row.tobytes()
+
+
 class TestNodeSamplesAffine:
     def test_hand_worked_example(self):
         window = MeasurementWindow(
             np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
-        nodes = rk_node_samples_affine(window)
-        assert np.array_equal(nodes.omega0, [1.0, 0.0, 0.0])
-        assert np.array_equal(nodes.omega_mid, [2.0, 0.0, 0.0])
-        assert np.array_equal(nodes.omega1, [3.0, 0.0, 0.0])
+        w0, wm, w1 = rk_node_samples(window)
+        assert np.array_equal(w0, [1.0, 0.0, 0.0])
+        assert np.array_equal(wm, [2.0, 0.0, 0.0])
+        assert np.array_equal(w1, [3.0, 0.0, 0.0])
 
     def test_equal_increments_give_constant_rate(self):
         inc = np.array([0.3, -0.2, 0.1])
         window = MeasurementWindow(np.stack([inc, inc]), 0.25)
-        nodes = rk_node_samples_affine(window)
-        for node in (nodes.omega0, nodes.omega_mid, nodes.omega1):
+        for node in rk_node_samples(window):
             assert np.allclose(node, inc / 0.25, rtol=1e-15, atol=0)
 
     def test_matches_model_evaluation(self):
@@ -309,11 +329,9 @@ class TestNodeSamplesAffine:
         for _ in range(200):
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(rng.uniform(-1.0, 1.0, (2, 3)), dt)
-            nodes = rk_node_samples_affine(window)
-            model = fit_affine(window)
-            for node, t in ((nodes.omega0, 0.0),
-                            (nodes.omega_mid, 0.5 * dt),
-                            (nodes.omega1, dt)):
+            nodes = rk_node_samples(window)
+            model = fit_polynomial(window)
+            for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 expected = eval_rate(model, t)
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(node - expected)) <= 1e-15 * scale
@@ -321,8 +339,7 @@ class TestNodeSamplesAffine:
     def test_other_alignment_gives_the_derivation(self):
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
-        nodes = rk_node_samples_affine(window)
-        assert_derived((nodes.omega0, nodes.omega_mid, nodes.omega1), window)
+        assert_derived(rk_node_samples(window), window)
 
 
 class TestNodeSamplesQuadratic:
@@ -331,15 +348,13 @@ class TestNodeSamplesQuadratic:
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2], [-0.3, 0.2, 0.5]]),
             0.1, alignment=alignment)
-        nodes = rk_node_samples_quadratic(window)
-        assert_derived((nodes.omega0, nodes.omega_mid, nodes.omega1), window)
+        assert_derived(rk_node_samples(window), window)
 
     def test_equal_increments_give_constant_rate(self):
         # rows of the node map each sum to 24
         inc = np.array([0.5, 0.1, -0.4])
         window = MeasurementWindow(np.stack([inc, inc, inc]), 0.5)
-        nodes = rk_node_samples_quadratic(window)
-        for node in (nodes.omega0, nodes.omega_mid, nodes.omega1):
+        for node in rk_node_samples(window):
             assert np.allclose(node, inc / 0.5, rtol=1e-15, atol=1e-16)
 
     def test_affine_data_matches_affine_nodes(self):
@@ -349,11 +364,7 @@ class TestNodeSamplesQuadratic:
             dt = 0.1
             w3 = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
             w2 = MeasurementWindow(poly_increments(coeffs, dt, 2), dt)
-            n3 = rk_node_samples_quadratic(w3)
-            n2 = rk_node_samples_affine(w2)
-            for a, b in ((n3.omega0, n2.omega0),
-                         (n3.omega_mid, n2.omega_mid),
-                         (n3.omega1, n2.omega1)):
+            for a, b in zip(rk_node_samples(w3), rk_node_samples(w2)):
                 assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_recovers_true_rate_at_nodes(self):
@@ -362,11 +373,9 @@ class TestNodeSamplesQuadratic:
             coeffs = rng.uniform(-1.0, 1.0, (3, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
-            nodes = rk_node_samples_quadratic(window)
+            nodes = rk_node_samples(window)
             model = RatePolynomial(coeffs)
-            for node, t in ((nodes.omega0, 0.0),
-                            (nodes.omega_mid, 0.5 * dt),
-                            (nodes.omega1, dt)):
+            for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 assert np.max(np.abs(node - eval_rate(model, t))) <= 1e-12
 
     def test_matches_fitted_model_evaluation(self):
@@ -374,11 +383,9 @@ class TestNodeSamplesQuadratic:
         for _ in range(200):
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(rng.uniform(-1.0, 1.0, (3, 3)), dt)
-            nodes = rk_node_samples_quadratic(window)
-            model = fit_quadratic(window)
-            for node, t in ((nodes.omega0, 0.0),
-                            (nodes.omega_mid, 0.5 * dt),
-                            (nodes.omega1, dt)):
+            nodes = rk_node_samples(window)
+            model = fit_polynomial(window)
+            for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 expected = eval_rate(model, t)
                 scale = max(1.0, np.max(np.abs(expected)))
                 assert np.max(np.abs(node - expected)) <= 1e-13 * scale
@@ -392,12 +399,10 @@ def test_fit_and_nodes_are_linear_in_window(seed):
     w1 = rng.uniform(-1.0, 1.0, (3, 3))
     w2 = rng.uniform(-1.0, 1.0, (3, 3))
     a, b = rng.uniform(-2.0, 2.0, 2)
-    mixed = rk_node_samples_quadratic(MeasurementWindow(a * w1 + b * w2, dt))
-    n1 = rk_node_samples_quadratic(MeasurementWindow(w1, dt))
-    n2 = rk_node_samples_quadratic(MeasurementWindow(w2, dt))
-    for got, x, y in ((mixed.omega0, n1.omega0, n2.omega0),
-                      (mixed.omega_mid, n1.omega_mid, n2.omega_mid),
-                      (mixed.omega1, n1.omega1, n2.omega1)):
+    mixed = rk_node_samples(MeasurementWindow(a * w1 + b * w2, dt))
+    n1 = rk_node_samples(MeasurementWindow(w1, dt))
+    n2 = rk_node_samples(MeasurementWindow(w2, dt))
+    for got, x, y in zip(mixed, n1, n2):
         want = a * x + b * y
         scale = max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale

@@ -7,11 +7,12 @@ import pytest
 from coning_kit.errors import AngleOutOfDomain, StageEvaluationError
 from coning_kit.kinematics import JacobianMode, jinv
 from coning_kit.rk import (ButcherTableau, delta_phi_closed,
-                           delta_phi_rk3_closed, delta_phi_rk4_closed,
                            integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint, tableau_forward_euler,
                            tableau_rk3, tableau_rk4, tableau_rk6,
                            validate_tableau)
+
+from conftest import node_sampler
 
 EPS = np.finfo(float).eps
 
@@ -225,18 +226,23 @@ def quadratic_sampler(coeffs):
     return sampler
 
 
+def closed_on_nodes(factory, w0, wm, w1, dt):
+    """``delta_phi_closed`` of ``factory``'s tableau on the rates at t = 0,
+    dt/2, dt."""
+    return delta_phi_closed(factory(), node_sampler((w0, wm, w1)), dt)
+
+
 class TestClosedForms:
     def test_constant_rate(self):
         w = np.array([0.3, -0.6, 0.9])
-        assert np.allclose(delta_phi_rk3_closed(w, w, w, 0.2), 0.2 * w,
-                           rtol=0, atol=1e-17)
-        assert np.allclose(delta_phi_rk4_closed(w, w, w, 0.2), 0.2 * w,
-                           rtol=0, atol=1e-17)
+        for factory in (tableau_rk3, tableau_rk4):
+            assert np.allclose(closed_on_nodes(factory, w, w, w, 0.2),
+                               0.2 * w, rtol=0, atol=1e-17)
 
     def test_parallel_samples_leave_only_simpson_term(self):
         w = np.array([0.4, 0.0, 0.0])
-        out3 = delta_phi_rk3_closed(w, 2.0 * w, 4.0 * w, 0.5)
-        out4 = delta_phi_rk4_closed(w, 2.0 * w, 4.0 * w, 0.5)
+        out3 = closed_on_nodes(tableau_rk3, w, 2.0 * w, 4.0 * w, 0.5)
+        out4 = closed_on_nodes(tableau_rk4, w, 2.0 * w, 4.0 * w, 0.5)
         simpson = (0.5 / 6.0) * (w + 8.0 * w + 4.0 * w)
         assert np.array_equal(out3, simpson)
         assert np.array_equal(out4, simpson)
@@ -246,15 +252,12 @@ class TestClosedForms:
         # than (dt/6)(2 w0 + 4 wm), so it agrees to rounding.
         w0 = np.array([0.3, -0.2, 0.5])
         wm = np.array([-0.1, 0.4, 0.2])
-        out = delta_phi_rk4_closed(w0, wm, w0, 0.3)
+        out = closed_on_nodes(tableau_rk4, w0, wm, w0, 0.3)
         want = (0.3 / 6.0) * (2.0 * w0 + 4.0 * wm)
         assert np.abs(out - want).max() <= 4.0 * EPS * np.abs(want).max()
 
-    @pytest.mark.parametrize("closed,factory", [
-        (delta_phi_rk3_closed, tableau_rk3),
-        (delta_phi_rk4_closed, tableau_rk4),
-    ])
-    def test_matches_engine_with_approx_jacobian(self, closed, factory):
+    @pytest.mark.parametrize("factory", [tableau_rk3, tableau_rk4])
+    def test_matches_engine_with_approx_jacobian(self, factory):
         # the closed forms drop the solvers' third-order terms, which are
         # small only when the node samples come from a smooth signal, so
         # sample a smooth quadratic
@@ -265,7 +268,8 @@ class TestClosedForms:
             w0, wm, w1 = (sampler(0.0), sampler(0.5 * dt), sampler(dt))
             engine = integrate_attitude_step(
                 sampler, 0.0, dt, factory(), JacobianMode.THIRD_ORDER_APPROX)
-            assert np.max(np.abs(closed(w0, wm, w1, dt) - engine)) <= 1e-9
+            got = closed_on_nodes(factory, w0, wm, w1, dt)
+            assert np.max(np.abs(got - engine)) <= 1e-9
 
     @pytest.mark.parametrize("factory", ALL_TABLEAUX[1:])
     def test_discrepancy_shrinks_quartically(self, factory):
@@ -297,14 +301,31 @@ class TestClosedForms:
     def test_rejects_nonpositive_dt(self):
         w = np.zeros(3)
         with pytest.raises(ValueError):
-            delta_phi_rk3_closed(w, w, w, 0.0)
+            closed_on_nodes(tableau_rk3, w, w, w, 0.0)
         with pytest.raises(ValueError):
-            delta_phi_rk4_closed(w, w, w, -1.0)
+            closed_on_nodes(tableau_rk4, w, w, w, -1.0)
 
-    @pytest.mark.parametrize("closed", [delta_phi_rk3_closed,
-                                        delta_phi_rk4_closed])
+    @pytest.mark.parametrize("factory", [tableau_rk3, tableau_rk4])
     @pytest.mark.parametrize("dt", [math.nan, math.inf])
-    def test_rejects_non_finite_dt(self, closed, dt):
+    def test_rejects_non_finite_dt(self, factory, dt):
         w = np.ones(3)
         with pytest.raises(ValueError, match="finite"):
-            closed(w, w, w, dt)
+            closed_on_nodes(factory, w, w, w, dt)
+
+    @pytest.mark.parametrize("factory", ALL_TABLEAUX)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_rate_sample(self, factory, bad):
+        # A NaN rate at the mid node gave [nan, nan, nan]; every built-in
+        # tableau reads every stage's sample.
+        tab = factory()
+        for c_bad in set(tab.c.tolist()):
+            def omega(c, c_bad=c_bad):
+                return np.array([bad if c == c_bad else 0.5, 0.1, -0.2])
+
+            with pytest.raises(ValueError, match="not finite"):
+                delta_phi_closed(tab, omega, 0.1)
+
+    def test_rejects_an_overflow(self):
+        w = np.full(3, 1e300)
+        with pytest.raises(ValueError, match="not finite"):
+            closed_on_nodes(tableau_rk4, w, w, w, 1e10)
