@@ -17,8 +17,9 @@ from .coning import (ConingResult, affine_coning_oracle,
                      rk4_theta2, rk4_theta3, two_speed_classic)
 from .errors import (AngleOutOfDomain, ConfigError, ConingKitError,
                      DegenerateStep, EmptyWindow, InsufficientData,
-                     NearPiRotation, NoConvergence, NotNearOrthogonal,
-                     NotSkewSymmetric, SingularSystem, StageEvaluationError)
+                     NearPiRotation, NoConvergence, NonFiniteIncrement,
+                     NotNearOrthogonal, NotSkewSymmetric, SingularSystem,
+                     StageEvaluationError)
 from .kinematics import JacobianMode, bortz_rhs, jinv, jinv_coefficient
 from .rate_model import (MeasurementWindow, RatePolynomial, eval_rate,
                          fit_polynomial, rk_node_samples)

@@ -10,18 +10,20 @@ each call's ``(n, 3)`` rotation vectors:
 
 - ``rate_steps`` runs the Runge-Kutta stages of the rotation-vector ODE on
   the signal's rate (``rk.integrate_attitude_step``), with each row's step
-  start and width as columns; one ``omega_many`` call takes the times of as
-  many stages as fit in ``BLOCK`` rows, and at least one;
+  start and width as columns.  It reads the stage rates from
+  ``RateSamples``, which samples each node time of a call once, as many
+  nodes per ``omega_many`` call as fit in ``BLOCK`` rows, and keeps the
+  nodes a later tableau's pass over the same calls reads;
 - ``cross_sum_steps`` (with a ``coning`` table), ``rk4_theta2_steps`` and
   ``two_speed_steps`` read each cell's increments from its
-  ``IncrementGrid``, which synthesizes each sensor interval of one width
-  once, and apply one ``coning`` correction.
+  ``IncrementGrid``; ``increment_grids`` synthesizes each sensor interval
+  of the grids a pass lacks once, in one packed run.
 
-``chain_product`` multiplies each segment's DCMs in a pairwise tree and
-``so3.compose`` folds the product onto its cell: the one sequential step,
-and the drift control, once per segment.  Every kernel works row by row and
-a cell's segments do not depend on the rest of its pass, so a cell's
-attitude is bitwise the same alone or in any pass.
+``chain_products`` multiplies each segment of a call's DCMs in one pairwise
+tree, and ``so3.compose`` folds each product onto its cell: the one
+sequential step, and the drift control, once per segment.  Every kernel
+works row by row and a cell's segments do not depend on the rest of its
+pass, so a cell's attitude is bitwise the same alone or in any pass.
 
 Each array function shares the kernel of the per-call function it replaces
 (``coning``, ``so3._cross_sum`` and ``_dcm_entries``,
@@ -79,6 +81,8 @@ def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
 def jinv_coefficients(angle: np.ndarray) -> np.ndarray:
     """``kinematics.jinv_coefficient`` of every angle, form for form; NaN,
     instead of raising, for an angle outside ``[0, MAX_ANGLE)``."""
+    if angle.max() < 1.0 and angle.min() >= 0.0:  # NaN fails both
+        return _coefficient_series(angle * angle)
     c = np.full(angle.shape, np.nan)
     series = (angle >= 0.0) & (angle < 1.0)
     trig = (angle >= 1.0) & (angle < MAX_ANGLE)
@@ -97,31 +101,66 @@ def _step_columns(segments, per_cell) -> tuple:
     return k, v
 
 
-def rate_steps(signal, t0: float, dts, tab, mode: JacobianMode,
+class RateSamples:
+    """The signal's rate at the stage times ``t0 + k dt + c dt`` of the
+    calls of ``rate_steps``, as ``(3, n)`` columns per call and node ``c``.
+
+    The rate methods of a sweep run the same calls, so the columns sampled
+    at a node of ``keep`` are kept for a later tableau that reads it; the
+    caller drops them after the last one.  A call is keyed by the step
+    width and range of each of its segments: a pass over other segments,
+    such as a one-cell retry, never reads rows made for this one.
+    """
+
+    def __init__(self, signal, t0: float):
+        self.signal, self.t0 = signal, t0
+        self.keep, self.kept = frozenset(), {}
+
+    def columns(self, call, t_k: np.ndarray, dt: np.ndarray, nodes) -> dict:
+        """Columns of each node of ``nodes``, the call's steps starting at
+        ``t_k`` with widths ``dt``; each missing node is sampled once."""
+        found = {c: self.kept[c, call] for c in nodes
+                 if (c, call) in self.kept}
+        missing = [c for c in nodes if c not in found]
+        n = t_k.size
+        per = max(1, BLOCK // n)
+        for i in range(0, len(missing), per):
+            group = missing[i:i + per]
+            t = t_k + dt * np.array(group)[:, None]
+            omega = omega_many(self.signal, t.ravel()).T.reshape(3, -1, n)
+            found.update(zip(group, omega.swapaxes(0, 1)))
+        self.kept.update(((c, call), found[c]) for c in missing
+                         if c in self.keep)
+        return found
+
+    def drop(self, nodes) -> None:
+        """Forget the columns of ``nodes``: no later pass reads them."""
+        self.kept = {key: v for key, v in self.kept.items()
+                     if key[0] not in nodes}
+
+
+def rate_steps(samples: RateSamples, dts, tab, mode: JacobianMode,
                segments) -> np.ndarray:
-    """``rk.integrate_attitude_step`` on the signal's rate, for the steps of
-    ``segments``; step k of cell c starts at ``t0 + k dts[c]``.
+    """``rk.integrate_attitude_step`` on the rate of ``samples``, for the
+    steps of ``segments``; step k of cell c starts at ``samples.t0 + k
+    dts[c]``.
 
     A stage whose rotation vector leaves the exact Jacobian's domain raises
     ``StageEvaluationError`` from ``AngleOutOfDomain`` for the first row and
     stage at which a step loop over the rows would have raised.
     """
     k, dt = _step_columns(segments, dts)
-    t_k = t0 + k * dt
+    t_k = samples.t0 + k * dt
     n = t_k.size
-    # The stage rates do not depend on the stages: one per distinct node.
-    nodes, node_of = np.unique(tab.c, return_inverse=True)
-    rates = []
-    per = max(1, BLOCK // n)
-    for i in range(0, nodes.size, per):
-        t = t_k + dt * nodes[i:i + per, None]
-        omega = omega_many(signal, t.ravel()).T.reshape(3, -1, n)
-        rates.extend(omega.swapaxes(0, 1))
     stage_plan, weights = tab._plan
+    # The stage rates do not depend on the stages: one per distinct node.
+    rates = samples.columns(tuple((dts[c], k0, k1) for c, k0, k1 in segments),
+                            t_k, dt, dict.fromkeys(c for c, _ in stage_plan))
     zero = np.zeros((3, 1))
-    stages = []
+    # Stage 0 has phi = 0, where the Jacobian is the identity.
+    stages = [dt * rates[stage_plan[0][0]]]
     angles = np.zeros((tab.n, n))
-    for nu, (_, row) in enumerate(stage_plan):
+    for nu, (c_nu, row) in enumerate(stage_plan[1:], 1):
         # rk.integrate_attitude_step, term by term in the same order.
         px, py, pz = sum((a_nl * stages[l] for l, a_nl in row), zero)
         if mode is JacobianMode.EXACT_CLOSED_FORM:
@@ -130,7 +169,7 @@ def rate_steps(signal, t0: float, dts, tab, mode: JacobianMode,
         else:
             c = 1.0 / 12.0
         stages.append(np.array(_apply_jacobian(
-            px, py, pz, *rates[node_of[nu]], c, dt)))
+            px, py, pz, *rates[c_nu], c, dt)))
     bad = ~(angles < MAX_ANGLE)
     if bad.any():
         k = int(np.flatnonzero(bad.any(axis=0))[0])
@@ -167,21 +206,30 @@ def two_speed(increments: np.ndarray, before: np.ndarray) -> np.ndarray:
 
 class IncrementGrid:
     """Synthetic increments over ``[k h, (k + 1) h]`` for k = -1 .. n, row
-    ``k + 1`` holding interval k: the sensor output of one width, which
-    every increment method at that width reads.  It is filled in chunks of
-    at most ``BLOCK + 2`` intervals, so no temporary of ``synth_many`` grows
-    with the grid; synthesis is row-wise, so the chunks change no bits."""
+    ``k + 1`` of ``values`` holding interval k: the sensor output of one
+    width, which every increment method at that width reads."""
 
-    def __init__(self, signal, h: float, n: int):
-        self.h = h
-        k = np.arange(-1, n + 1, dtype=float)
-        parts = [k[i:i + BLOCK + 2] for i in range(0, k.size, BLOCK + 2)]
-        self.values = np.hstack(
-            [synth_many(signal, p * h, (p + 1.0) * h).T for p in parts]).T
+    def __init__(self, h: float, values: np.ndarray):
+        self.h, self.values = h, values
 
     def span(self, first: int, last: int) -> np.ndarray:
         """Increments of the grid's intervals k = first..last-1."""
         return self.values[first + 1:last + 1]
+
+
+def increment_grids(signal, keys) -> list:
+    """The ``IncrementGrid`` of each ``(h, n)`` of ``keys``, synthesized
+    together: one run of ``synth_many`` over all their intervals, in chunks
+    of at most ``BLOCK + 2``, so no temporary grows with the grids.
+    Synthesis is row-wise, so the chunks change no bits."""
+    k = [np.arange(-1, n + 1, dtype=float) for _, n in keys]
+    t0 = np.concatenate([p * h for p, (h, _) in zip(k, keys)])
+    t1 = np.concatenate([(p + 1.0) * h for p, (h, _) in zip(k, keys)])
+    step = BLOCK + 2
+    values = np.hstack([synth_many(signal, t0[i:i + step], t1[i:i + step]).T
+                        for i in range(0, t0.size, step)]).T
+    parts = np.split(values, np.cumsum([p.size for p in k[:-1]]))
+    return [IncrementGrid(h, v) for (h, _), v in zip(keys, parts)]
 
 
 def _spans(grids, segments, shift: int, minor: int = 1) -> np.ndarray:
@@ -230,27 +278,54 @@ def dcm_many(phi: np.ndarray) -> np.ndarray:
     """``so3.dcm_from_rotation_vector`` of every row; shape (n, 3, 3)."""
     x, y, z = phi.T
     n2 = x * x + y * y + z * z
-    k1 = np.empty_like(n2)
-    k2 = np.empty_like(n2)
     small = n2 < SMALL_ANGLE * SMALL_ANGLE
-    k1[small] = 1.0 - n2[small] / 6.0
-    k2[small] = 0.5 - n2[small] / 24.0
     big = ~small
-    angle = np.sqrt(n2[big])
-    k1[big] = np.sin(angle) / angle
-    k2[big] = (1.0 - np.cos(angle)) / n2[big]
-    out = np.empty((phi.shape[0], 9))
-    out.T[:] = _dcm_entries(x, y, z, k1, k2)
-    return out.reshape(-1, 3, 3)
+    angle = np.sqrt(n2)
+    k1 = np.sin(angle)
+    np.divide(k1, angle, out=k1, where=big)
+    k2 = 1.0 - np.cos(angle)
+    np.divide(k2, n2, out=k2, where=big)
+    if small.any():
+        k1[small] = 1.0 - n2[small] / 6.0
+        k2[small] = 0.5 - n2[small] / 24.0
+    out = np.empty((phi.shape[0], 3, 3))
+    entries = out.reshape(-1, 9).T
+    for i, entry in enumerate(_dcm_entries(x, y, z, k1, k2)):
+        entries[i] = entry
+    return out
 
 
-def chain_product(mats: np.ndarray) -> np.ndarray:
-    """``mats[n-1] @ ... @ mats[1] @ mats[0]``, each level of the tree
-    multiplying neighbouring pairs; the caller applies ``so3.compose``."""
-    while len(mats) > 1:
-        prod = mats[1::2] @ mats[:len(mats) - 1:2]
-        mats = np.concatenate([prod, mats[-1:]]) if len(mats) % 2 else prod
-    return mats[0]
+def chain_products(mats: np.ndarray, lengths) -> list:
+    """``mats[k1-1] @ ... @ mats[k0]`` of each run of ``lengths``
+    consecutive matrices, in a pairwise tree whose every level multiplies
+    neighbouring pairs and carries an odd last one; the caller applies
+    ``so3.compose``.
+
+    The runs share one tree.  Each is padded with identity matrices to a
+    power of two, which changes no product (``I @ A`` is ``A`` for finite
+    ``A``, up to the sign of an exact zero), and the runs are ordered by
+    padded length: each level is one ``np.matmul``, and a run leaves from
+    the front once it is one matrix.
+    """
+    sizes = [1 << (n - 1).bit_length() for n in lengths]
+    order = sorted(range(len(lengths)), key=sizes.__getitem__)
+    tree = mats
+    if sizes != sorted(lengths):  # not already padded and in order
+        starts = np.cumsum([0, *lengths]).tolist()
+        tree = np.empty((sum(sizes), 3, 3))
+        at = 0
+        for s in order:
+            tree[at:at + lengths[s]] = mats[starts[s]:starts[s + 1]]
+            tree[at + lengths[s]:at + sizes[s]] = np.eye(3)
+            at += sizes[s]
+    products = [None] * len(lengths)
+    level = 1
+    for s in order:
+        while sizes[s] > level:
+            tree = tree[1::2] @ tree[0::2]
+            level *= 2
+        products[s], tree = tree[0], tree[1:]
+    return products
 
 
 def compose_steps(produce, steps, block: int = BLOCK) -> list:
@@ -269,9 +344,8 @@ def compose_steps(produce, steps, block: int = BLOCK) -> list:
             rows += k1 - k0
     attitudes = [np.eye(3) for _ in steps]
     for call in calls:
-        mats = dcm_many(produce(call))
-        for c, k0, k1 in call:
-            attitudes[c] = compose(chain_product(mats[:k1 - k0]),
-                                   attitudes[c])
-            mats = mats[k1 - k0:]
+        products = chain_products(dcm_many(produce(call)),
+                                  [k1 - k0 for _, k0, k1 in call])
+        for (c, _, _), product in zip(call, products):
+            attitudes[c] = compose(product, attitudes[c])
     return attitudes

@@ -19,7 +19,10 @@ computer, a sweep synthesizes each sensor interval once: the increment
 methods share one grid of increments per interval width, and a two-speed
 cell of m minor steps reads minor interval j of step k as the grid's
 interval ``k m + j`` of width h = dt / m, whose endpoints are at most one
-rounding from ``k dt + j h``.  A recorded error may differ from a
+rounding from ``k dt + j h``.  It samples each rate node time once too:
+the rate methods run the same calls, and share the rate at each stage
+node ``c`` of a call (``_batch.RateSamples``) until the last rate method
+that reads that node.  A recorded error may differ from a
 step-by-step loop over the per-call functions in its last digits; the
 tests hold the default sweeps to 1e-6 relative, or 1e-12 absolute.
 
@@ -196,7 +199,8 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     """
     n = _step_count(dt, horizon)
     _check_cell(method, signal, dt, n)
-    return _propagate(method, signal, [(dt, n)], jacobian_mode, {})[0]
+    return _propagate(method, signal, [(dt, n)], jacobian_mode, {},
+                      _batch.RateSamples(signal, 0.0))[0]
 
 
 def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
@@ -229,21 +233,30 @@ def _grid_key(method: MethodId, dt: float, n: int):
     return dt / minor, n * minor
 
 
+def _nodes(method: MethodId) -> frozenset:
+    """Stage nodes ``c`` at which a rate method samples; none otherwise."""
+    if method.uses_rate_samples:
+        return frozenset(_OMEGA_TABLEAUX[method.kind]().c.tolist())
+    return frozenset()
+
+
 def _propagate(method: MethodId, signal, cells, jacobian_mode: JacobianMode,
-               grids: dict) -> list:
-    """Final attitude of each cell ``(dt, n)`` of ``method``, in one pass;
-    a grid the cells need and do not find in ``grids`` (by ``_grid_key``)
-    is synthesized and added."""
+               grids: dict, samples: _batch.RateSamples) -> list:
+    """Final attitude of each cell ``(dt, n)`` of ``method``, in one pass.
+    The grids the cells need and do not find in ``grids`` (by
+    ``_grid_key``) are synthesized together and added; a rate method reads
+    its stage rates from ``samples``."""
     minor = method.minor_steps or 1
     if method.uses_rate_samples:
-        produce = partial(_batch.rate_steps, signal, 0.0,
+        produce = partial(_batch.rate_steps, samples,
                           [dt for dt, _ in cells],
                           _OMEGA_TABLEAUX[method.kind](), jacobian_mode)
     else:
         keys = [_grid_key(method, dt, n) for dt, n in cells]
-        for key in keys:
-            if key not in grids:
-                grids[key] = _batch.IncrementGrid(signal, *key)
+        missing = [key for key in dict.fromkeys(keys) if key not in grids]
+        if missing:
+            grids.update(zip(missing,
+                             _batch.increment_grids(signal, missing)))
         cell_grids = [grids[key] for key in keys]
         if method.kind is MethodKind.TWO_SPEED_CLASSIC:
             produce = partial(_batch.two_speed_steps, cell_grids, minor)
@@ -335,12 +348,12 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     otherwise step-doubled.  Each method runs in one pass over all its step
     sizes, retried one cell at a time if it raises a ``ConingKitError``; a
     cell that raises alone gives no record, and its summary lists
-    ``(dt, reason)`` in ``failures``.  Methods share increment grids, each
-    dropped after the last method that reads it.  A record's ``wall_time``
-    is its share of its method's pass, in proportion to steps.  Order fits
-    exclude records the truth cannot resolve: at or below ``ERROR_FLOOR``
-    against a closed form, ``REFERENCE_MARGIN`` times the tolerance against
-    the step-doubled reference.
+    ``(dt, reason)`` in ``failures``.  Methods share increment grids and
+    rate samples, each dropped after the last method that reads it.  A
+    record's ``wall_time`` is its share of its method's pass, in proportion
+    to steps.  Order fits exclude records the truth cannot resolve: at or
+    below ``ERROR_FLOOR`` against a closed form, ``REFERENCE_MARGIN`` times
+    the tolerance against the step-doubled reference.
     """
     validate_config(cfg)
     signal = preset(cfg.signal)
@@ -355,19 +368,23 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
     cells = [(dt, _step_count(dt, cfg.horizon)) for dt in cfg.step_sizes]
     last_read = {_grid_key(method, dt, n): j
                  for j, method in enumerate(cfg.methods) for dt, n in cells}
-    grids = {}
+    nodes = [_nodes(method) for method in cfg.methods]
+    grids, samples = {}, _batch.RateSamples(signal, 0.0)
     summaries = []
     for j, method in enumerate(cfg.methods):
+        # A pass keeps the rate samples of the nodes a later method reads.
+        samples.keep = frozenset().union(*nodes[j + 1:])
         start = time.perf_counter()
         finals, failed = {}, []
         try:
             finals = dict(zip(cells, _propagate(
-                method, signal, cells, cfg.jacobian_mode, grids)))
+                method, signal, cells, cfg.jacobian_mode, grids, samples)))
         except ConingKitError:
             for cell in cells:
                 try:
                     [finals[cell]] = _propagate(method, signal, [cell],
-                                                cfg.jacobian_mode, grids)
+                                                cfg.jacobian_mode, grids,
+                                                samples)
                 except ConingKitError as exc:
                     failed.append((cell[0], f"{type(exc).__name__}: {exc}"))
         share = (time.perf_counter() - start) / max(1, sum(
@@ -378,6 +395,7 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
             for (dt, n), final in finals.items())
         for key in [key for key, last in last_read.items() if last == j]:
             grids.pop(key, None)
+        samples.drop(nodes[j] - samples.keep)
         try:
             order, residual = estimate_order(records, floor)
         except InsufficientData:

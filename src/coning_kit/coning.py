@@ -14,28 +14,29 @@ run self-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyWindow
+from .errors import EmptyWindow, Frozen, _set
 from .rate_model import MeasurementWindow
 from .rk import OmegaSampler, _check_dt
 from .so3 import _cross_sum, _finite, cross
 from .trajectory import _GL_PAIRS
 
 
-@dataclass(frozen=True, eq=False)
-class ConingResult:
+class ConingResult(Frozen):
     """Corrected rotation increment and the correction alone.
 
     ``delta_phi == dtheta_curr + beta`` where ``dtheta_curr`` is the
     increment of the step being propagated.
     """
 
-    delta_phi: np.ndarray
-    beta: np.ndarray
+    __slots__ = ("delta_phi", "beta")
+
+    def __init__(self, delta_phi: np.ndarray, beta: np.ndarray):
+        _set(self, "delta_phi", delta_phi)
+        _set(self, "beta", beta)
 
 
 # Each correction is computed once, by a kernel over the components of its

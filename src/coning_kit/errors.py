@@ -1,4 +1,36 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and ``Frozen``, the base of
+its immutable values."""
+
+
+#: Sets a slot of a ``Frozen`` value; for its ``__init__`` alone.
+_set = object.__setattr__
+
+
+class Frozen:
+    """An immutable value: ``__slots__`` set once by ``__init__`` (through
+    ``_set``), equal and hashed by identity, with the ``repr`` of a frozen
+    dataclass over its public slots.  Assignment and deletion raise
+    ``AttributeError``; copies and pickles rebuild through ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> list:
+        return [name for name in self.__slots__ if name[0] != "_"]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name in self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ConingKitError(Exception):
@@ -37,7 +69,8 @@ class StageEvaluationError(ConingKitError):
 
 
 class NonFiniteIncrement(ConingKitError, ValueError):
-    """An increment the array engine read, or a correction, is not finite."""
+    """An increment the array engine read, a correction, or a rotation
+    vector's angle is not finite."""
 
 
 class DegenerateStep(ConingKitError):

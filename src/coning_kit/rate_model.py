@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, SingularSystem
+from .errors import DegenerateStep, Frozen, SingularSystem, _set
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementWindow:
+class MeasurementWindow(Frozen):
     """Consecutive integrated-rate increments sharing one step interval.
 
     ``increments`` is a (Q, 3) array, Q >= 2; ``dt`` the common interval in
@@ -40,35 +38,35 @@ class MeasurementWindow:
     and frozen; the caller's array is untouched.
     """
 
-    increments: np.ndarray
-    dt: float
-    alignment: int = 1
+    __slots__ = ("increments", "dt", "alignment")
 
-    def __post_init__(self):
-        inc = np.array(self.increments, dtype=float)
+    def __init__(self, increments: np.ndarray, dt: float, alignment: int = 1):
+        inc = np.array(increments, dtype=float)
         if inc.ndim != 2 or inc.shape[1] != 3 or inc.shape[0] < 2:
             raise ValueError(
                 f"increments must have shape (Q >= 2, 3), got {inc.shape}")
         if not np.isfinite(inc).all():
             raise ValueError("increments must be finite")
-        if not 0.0 < self.dt < math.inf:
+        if not 0.0 < dt < math.inf:
             raise DegenerateStep(
-                f"dt must be positive and finite, got {self.dt!r}")
-        align, q = self.alignment, inc.shape[0]
-        if (isinstance(align, bool) or not isinstance(align, (int, np.integer))
-                or not 0 <= align < q):
+                f"dt must be positive and finite, got {dt!r}")
+        q = inc.shape[0]
+        if (isinstance(alignment, bool)
+                or not isinstance(alignment, (int, np.integer))
+                or not 0 <= alignment < q):
             raise ValueError(
-                f"alignment must be an integer in [0, {q}), got {align!r}")
+                f"alignment must be an integer in [0, {q}), got {alignment!r}")
         inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
+        _set(self, "increments", inc)
+        _set(self, "dt", dt)
+        _set(self, "alignment", alignment)
 
     @property
     def q(self) -> int:
         return self.increments.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RatePolynomial:
+class RatePolynomial(Frozen):
     """Angular-rate model ``omega(t) = sum_i coeffs[i] * (t - origin)**i``.
 
     ``coeffs`` is a (Q, 3) array ordered by increasing power (row 0 is the
@@ -76,17 +74,17 @@ class RatePolynomial:
     origin must be finite (``ValueError`` otherwise).
     """
 
-    coeffs: np.ndarray
-    origin: float = 0.0
+    __slots__ = ("coeffs", "origin")
 
-    def __post_init__(self):
-        co = np.array(self.coeffs, dtype=float)
+    def __init__(self, coeffs: np.ndarray, origin: float = 0.0):
+        co = np.array(coeffs, dtype=float)
         if co.ndim != 2 or co.shape[1] != 3 or co.shape[0] < 1:
             raise ValueError(f"coeffs must have shape (Q >= 1, 3), got {co.shape}")
-        if not (np.isfinite(co).all() and math.isfinite(self.origin)):
+        if not (np.isfinite(co).all() and math.isfinite(origin)):
             raise ValueError("coefficients and origin must be finite")
         co.setflags(write=False)
-        object.__setattr__(self, "coeffs", co)
+        _set(self, "coeffs", co)
+        _set(self, "origin", origin)
 
     @property
     def q(self) -> int:

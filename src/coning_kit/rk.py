@@ -25,12 +25,11 @@ columns.  Both step routines read the tableau's coefficients from the plan
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import StageEvaluationError
+from .errors import Frozen, StageEvaluationError, _set
 from .kinematics import JacobianMode, _apply_jacobian, jinv_coefficient
 from .so3 import _cross_sum, _finite
 
@@ -38,8 +37,7 @@ OdeFunction = Callable[[float, np.ndarray], np.ndarray]
 OmegaSampler = Callable[[float], np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class ButcherTableau:
+class ButcherTableau(Frozen):
     """Coefficients (A, b, c) of an explicit Runge-Kutta scheme.
 
     ``a`` must be strictly lower triangular for the scheme to be explicit;
@@ -54,31 +52,27 @@ class ButcherTableau:
     with a nonzero weight; and the cross-sum table of ``delta_phi_closed``.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    __slots__ = ("a", "b", "c", "_plan", "_expansion")
 
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
+    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+        a = np.array(a, dtype=float)
+        b = np.array(b, dtype=float)
+        c = np.array(c, dtype=float)
         n = b.shape[0]
         if a.shape != (n, n) or c.shape != (n,):
             raise ValueError(
                 f"inconsistent tableau shapes: A {a.shape}, b {b.shape}, "
                 f"c {c.shape}")
-        for arr in (a, b, c):
-            arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
         stages = tuple(
             (float(c[nu]), tuple((l, float(a[nu, l])) for l in range(nu)
                                  if a[nu, l] != 0.0))
             for nu in range(n))
         weights = tuple((l, float(b[l])) for l in range(n) if b[l] != 0.0)
-        object.__setattr__(self, "_plan", (stages, weights))
-        object.__setattr__(self, "_expansion", (2.0, tuple(
+        for name, value in (("a", a), ("b", b), ("c", c)):
+            value.setflags(write=False)
+            _set(self, name, value)
+        _set(self, "_plan", (stages, weights))
+        _set(self, "_expansion", (2.0, tuple(
             (l, nu, float(b[nu]) * a_nl) for nu, (_, row) in enumerate(stages)
             for l, a_nl in row if b[nu] != 0.0)))
 

@@ -85,17 +85,22 @@ def dcm_from_rotation_vector(phi: np.ndarray) -> np.ndarray:
     Returns ``I - sin(a) [e x] + (1 - cos(a)) [e x]^2`` with ``a = |phi|``,
     equal to ``expm(-[phi x])``.  Angles below ``SMALL_ANGLE`` use the series
     ``sin(a)/a ~ 1 - a^2/6`` and ``(1 - cos(a))/a^2 ~ 1/2 - a^2/24`` applied
-    to ``[phi x]`` directly, avoiding the 0/0 axis extraction.
+    to ``[phi x]`` directly, avoiding the 0/0 axis extraction.  Raises
+    ``NonFiniteIncrement``, a ``ValueError``, unless the squared angle is
+    finite: a NaN or infinite component, or a norm that overflows.
     """
     x, y, z = np.asarray(phi, dtype=float).tolist()
     n2 = x * x + y * y + z * z
     if n2 < SMALL_ANGLE * SMALL_ANGLE:
         k1 = 1.0 - n2 / 6.0
         k2 = 0.5 - n2 / 24.0
-    else:
+    elif n2 < math.inf:
         angle = math.sqrt(n2)
         k1 = math.sin(angle) / angle
         k2 = (1.0 - math.cos(angle)) / n2
+    else:
+        raise NonFiniteIncrement(
+            f"rotation vector ({x!r}, {y!r}, {z!r}) has no finite angle")
     return np.array(_dcm_entries(x, y, z, k1, k2)).reshape(3, 3)
 
 
@@ -140,7 +145,8 @@ def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:
     and has norm in ``[0, pi)``.  Raises ``NearPiRotation`` when the principal
     angle exceeds ``pi - NEAR_PI_MARGIN``, where axis extraction from the skew
     part is ill-conditioned; callers in this package only measure small
-    attitude errors.
+    attitude errors.  Raises ``NotNearOrthogonal``, as ``compose`` does,
+    when an entry is NaN or infinite.
     """
     # sin(angle) * axis, from the skew part of T^T - T.
     sx = 0.5 * (float(t[1][2]) - float(t[2][1]))
@@ -148,6 +154,9 @@ def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:
     sz = 0.5 * (float(t[0][1]) - float(t[1][0]))
     s = math.sqrt(sx * sx + sy * sy + sz * sz)
     c = 0.5 * (float(t[0][0]) + float(t[1][1]) + float(t[2][2]) - 1.0)
+    # Every entry enters s or c: NaN or an infinity reaches their sum.
+    if not abs(s + c) < math.inf:
+        raise NotNearOrthogonal("matrix has a non-finite entry")
     angle = math.atan2(s, c)
     if angle > math.pi - NEAR_PI_MARGIN:
         raise NearPiRotation(
@@ -180,7 +189,8 @@ def attitude_error_angle(t_est: np.ndarray, t_ref: np.ndarray) -> float:
     """Principal angle of the relative rotation between two DCMs, in rad.
 
     Zero iff the matrices are equal; symmetric in its arguments.  Propagates
-    ``NearPiRotation`` for relative rotations near pi.
+    ``NearPiRotation`` for relative rotations near pi, and
+    ``NotNearOrthogonal`` for a NaN or infinite entry.
     """
     rel = np.asarray(t_est) @ np.asarray(t_ref).T
     rv = rotation_vector_from_dcm(rel)

@@ -32,16 +32,21 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NoConvergence, StageEvaluationError
+from .errors import Frozen, NoConvergence, StageEvaluationError, _set
 from .kinematics import JacobianMode
 from .rate_model import RatePolynomial
 from .rk import tableau_rk6
 from .so3 import attitude_error_angle, dcm_from_rotation_vector
 
 #: The 5-point Gauss-Legendre rule on [-1, 1], as (node, weight) pairs of
-#: Python floats; exact for polynomials of degree <= 9.
-_GL_PAIRS = tuple(zip(*(x.tolist()
-                        for x in np.polynomial.legendre.leggauss(5))))
+#: Python floats: ``numpy.polynomial.legendre.leggauss(5)`` bit for bit,
+#: written out so that import computes nothing.  Exact for polynomials of
+#: degree <= 9.
+_GL_PAIRS = ((-0.906179845938664, 0.23692688505618928),
+             (-0.5384693101056831, 0.4786286704993663),
+             (0.0, 0.5688888888888887),
+             (0.5384693101056831, 0.4786286704993663),
+             (0.906179845938664, 0.23692688505618928))
 
 #: Names accepted by ``preset``.
 PRESET_NAMES = ("poly3", "fourier3", "coning")
@@ -52,8 +57,7 @@ PRESET_NAMES = ("poly3", "fourier3", "coning")
 MAX_SUBSTEPS = 2 ** 20
 
 
-@dataclass(frozen=True, eq=False)
-class PolynomialRate:
+class PolynomialRate(Frozen):
     """Rate signal defined by a polynomial model (degree <= 5).
 
     Construction precomputes the plan ``omega_at`` runs, as Python floats:
@@ -61,20 +65,19 @@ class PolynomialRate:
     decreasing power.
     """
 
-    model: RatePolynomial
+    __slots__ = ("model", "_plan")
 
-    def __post_init__(self):
-        if self.model.q > 6:
+    def __init__(self, model: RatePolynomial):
+        if model.q > 6:
             raise ValueError(
                 f"polynomial rate limited to degree 5, got degree "
-                f"{self.model.q - 1}")
-        top, *lower = (tuple(row) for row in self.model.coeffs[::-1].tolist())
-        object.__setattr__(self, "_plan",
-                           (float(self.model.origin), top, tuple(lower)))
+                f"{model.q - 1}")
+        top, *lower = (tuple(row) for row in model.coeffs[::-1].tolist())
+        _set(self, "model", model)
+        _set(self, "_plan", (float(model.origin), top, tuple(lower)))
 
 
-@dataclass(frozen=True, eq=False)
-class FourierRate:
+class FourierRate(Frozen):
     """Rate signal ``omega(t) = sum_i amp_i * sin(freq_i t + phase_i)``.
 
     ``terms`` is a sequence of (amplitude 3-vector, frequency rad/s > 0,
@@ -84,11 +87,11 @@ class FourierRate:
     tuple ``(ax, ay, az, freq, phase)`` per term.
     """
 
-    terms: tuple
+    __slots__ = ("terms", "_plan")
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple):
         norm = []
-        for amp, freq, phase in self.terms:
+        for amp, freq, phase in terms:
             amp = np.array(amp, dtype=float)
             freq, phase = float(freq), float(phase)
             if amp.shape != (3,) or not np.isfinite(amp).all():
@@ -101,9 +104,9 @@ class FourierRate:
                 raise ValueError(f"phases must be finite, got {phase!r}")
             amp.setflags(write=False)
             norm.append((amp, freq, phase))
-        object.__setattr__(self, "terms", tuple(norm))
-        object.__setattr__(self, "_plan", tuple(
-            (*amp.tolist(), freq, phase) for amp, freq, phase in norm))
+        _set(self, "terms", tuple(norm))
+        _set(self, "_plan", tuple((*amp.tolist(), freq, phase)
+                                  for amp, freq, phase in norm))
 
 
 @dataclass(frozen=True)
@@ -282,8 +285,9 @@ def _reference_pass(signal, t0: float, t1: float, levels: list) -> list:
     from . import _batch
 
     return _batch.compose_steps(partial(
-        _batch.rate_steps, signal, t0, [(t1 - t0) / n for n in levels],
-        tableau_rk6(), JacobianMode.EXACT_CLOSED_FORM), levels)
+        _batch.rate_steps, _batch.RateSamples(signal, t0),
+        [(t1 - t0) / n for n in levels], tableau_rk6(),
+        JacobianMode.EXACT_CLOSED_FORM), levels)
 
 
 def reference_substeps(signal: AnalyticAttitudeSignal, t0: float,

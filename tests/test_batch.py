@@ -21,6 +21,7 @@ numpy formulation of its own, within ``ROW_TOL``.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ def assert_rows_close(got, want, tol=ROW_TOL):
     assert float(np.max(np.abs(got - want))) <= tol * scale
 
 
+def rate_steps(signal, t0, dts, tab, mode, segments):
+    """``_batch.rate_steps`` of one pass that keeps no samples."""
+    return _batch.rate_steps(_batch.RateSamples(signal, t0), dts, tab, mode,
+                             segments)
+
+
+def chain_product(mats):
+    """``mats[n-1] @ ... @ mats[0]`` in the pairwise tree of one segment,
+    each level multiplying neighbouring pairs and carrying an odd last one:
+    the per-segment product that ``_batch.chain_products`` shares."""
+    while len(mats) > 1:
+        prod = mats[1::2] @ mats[:len(mats) - 1:2]
+        mats = np.concatenate([prod, mats[-1:]]) if len(mats) % 2 else prod
+    return mats[0]
+
+
+def product(mats):
+    """The engine's product of one segment."""
+    [prod] = _batch.chain_products(mats, [len(mats)])
+    return prod
+
+
 def rows_of(dphi):
     """Producer of the rows of ``dphi`` for ``compose_steps``'s segments."""
     return lambda segments: np.concatenate(
@@ -89,6 +112,15 @@ def random_rotation_vectors(rng, n, max_angle):
 
 
 SIGNAL_KINDS = ("poly", "fourier", "coning")
+
+#: The default 8-method coning sweep; its truth is closed form, so only the
+#: methods sample the rate.
+DEFAULT_CONING = SweepConfig(
+    signal="coning",
+    methods=tuple(parse_method(m) for m in (
+        "fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
+        "twospeed4").split(",")),
+    step_sizes=tuple(0.25 * 2.0 ** -k for k in range(7)), horizon=4.0)
 
 
 class TestSignals:
@@ -154,8 +186,8 @@ class TestBatching:
                 patch.setattr(_batch, "BLOCK", block)
                 results.append(
                     [_batch.synth_many(signal, t0, t1)]
-                    + [_batch.rate_steps(signal, 0.5, [dt], factory(), mode,
-                                         [(0, 3, 3 + n)])
+                    + [rate_steps(signal, 0.5, [dt], factory(), mode,
+                                  [(0, 3, 3 + n)])
                        for factory in TABLEAUX for mode in JacobianMode])
         for one, batched in zip(*results):
             assert np.array_equal(one, batched)
@@ -193,7 +225,10 @@ class TestBatching:
         # theta2, rk4theta2 and theta3 at dt read the intervals of width dt,
         # twospeed4 at dt those of width dt / 4, which theta2 reads at
         # dt / 4 when that step size is in the sweep.  The grids hold 8194
-        # intervals; synthesized per cell they were 14260.
+        # intervals; synthesized per cell they were 14260.  A pass that
+        # lacks grids synthesizes them in one packed run: 2046 intervals
+        # for theta2, then 6148 in three calls for twospeed4, where one run
+        # per grid took ten calls.
         intervals = []
         synth_many = _batch.synth_many
 
@@ -202,14 +237,25 @@ class TestBatching:
             return synth_many(sig, t0, t1)
 
         monkeypatch.setattr(_batch, "synth_many", counted)
-        run_sweep(SweepConfig(
-            signal="coning",
-            methods=tuple(parse_method(m) for m in (
-                "fwdeuler,exmid,rk3omega,rk4omega,theta2,theta3,rk4theta2,"
-                "twospeed4").split(",")),
-            step_sizes=tuple(0.25 * 2.0 ** -k for k in range(7)),
-            horizon=4.0))
+        run_sweep(DEFAULT_CONING)
         assert sum(intervals) <= 8300
+        assert intervals == [2046, 2050, 2050, 2048]
+
+    def test_default_sweep_samples_each_node_time_once(self, monkeypatch):
+        # The rate methods read the rate at the nodes {0}, {0, 1/2},
+        # {0, 1/2, 1} and {0, 1/2, 1} of each of the 2032 steps: 6096 node
+        # times in three calls, one per node, where sampling them per
+        # method took 18288 rows.
+        rows = []
+        omega_many = _batch.omega_many
+
+        def counted(sig, t):
+            rows.append(t.size)
+            return omega_many(sig, t)
+
+        monkeypatch.setattr(_batch, "omega_many", counted)
+        run_sweep(DEFAULT_CONING)
+        assert rows == [2032, 2032, 2032]
 
     def test_no_grid_outlives_its_last_reader(self, monkeypatch):
         # Each grid a method's pass finds must still be read by this method
@@ -227,15 +273,72 @@ class TestBatching:
         seen = []
         propagate_pass = bench._propagate
 
-        def checked(method, signal, cells, mode, grids):
+        def checked(method, signal, cells, mode, grids, samples):
             for key in grids:
                 assert last_reader[key] >= cfg.methods.index(method)
             seen.append(grids)
-            return propagate_pass(method, signal, cells, mode, grids)
+            return propagate_pass(method, signal, cells, mode, grids, samples)
 
         monkeypatch.setattr(bench, "_propagate", checked)
         run_sweep(cfg)
         assert len(seen) == 5 and seen[-1] == {}
+
+    def test_no_rate_sample_outlives_its_last_reader(self, monkeypatch):
+        # Node 1 has one reader, rk3omega, and is never kept; node 1/2 is
+        # last read by exmid, node 0 by fwdeuler.  Each node time of each
+        # cell is sampled once, and nothing is left after the sweep.  The
+        # cone's truth is closed form, so no reference samples the rate.
+        cfg = SweepConfig(
+            signal="coning",
+            methods=tuple(parse_method(m) for m in (
+                "rk3omega", "exmid", "theta2", "fwdeuler", "twospeed2")),
+            step_sizes=tuple(0.5 * 2.0 ** -k for k in range(5)),
+            horizon=2.0)
+        last_reader = {0.0: 3, 0.5: 1}
+        keep = [{0.0, 0.5}, {0.0}, {0.0}, set(), set()]
+        seen, times = [], []
+        propagate_pass = bench._propagate
+        omega_many = _batch.omega_many
+
+        def checked(method, signal, cells, mode, grids, samples):
+            j = cfg.methods.index(method)
+            assert all(last_reader[c] >= j for c, _ in samples.kept)
+            assert samples.keep == keep[j]
+            seen.append(samples)
+            return propagate_pass(method, signal, cells, mode, grids, samples)
+
+        def counted(sig, t):
+            times.extend(t.tolist())
+            return omega_many(sig, t)
+
+        monkeypatch.setattr(bench, "_propagate", checked)
+        monkeypatch.setattr(_batch, "omega_many", counted)
+        run_sweep(cfg)
+        assert len(seen) == 5 and seen[-1].kept == {}
+        steps = sum(round(cfg.horizon / dt) for dt in cfg.step_sizes)
+        assert len(times) == 3 * steps
+
+    def test_a_call_reads_only_rows_of_its_own_segments(self):
+        # Two passes over the same cells cut into different calls: the
+        # second samples its own calls, keeps them beside the first's, and
+        # each reads the rate at its own step times.
+        signal = preset("fourier3")
+        samples = _batch.RateSamples(signal, 0.25)
+        samples.keep = frozenset({0.0, 0.5})
+        tab = tableau_explicit_midpoint()
+        dts = [0.5, 0.25]
+        for block in (8, 2):
+            _batch.compose_steps(partial(
+                _batch.rate_steps, samples, dts, tab,
+                JacobianMode.EXACT_CLOSED_FORM), [4, 8], block)
+        assert len(samples.kept) == 2 * (2 + 6)
+        for (c, call), rates in samples.kept.items():
+            t = [0.25 + k * dt + dt * c
+                 for dt, k0, k1 in call for k in range(k0, k1)]
+            assert np.array_equal(rates, _batch.omega_many(
+                signal, np.array(t)).T)
+        samples.drop({0.5})
+        assert {c for c, _ in samples.kept} == {0.0}
 
 
 class TestIncrementGrid:
@@ -243,17 +346,23 @@ class TestIncrementGrid:
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_chunked_fill_equals_one_synthesis(self, kind, seed):
+        # Grids of several widths are synthesized in one packed run of
+        # chunks that cross grid boundaries; each grid equals one synthesis
+        # of its own intervals.
         rng = np.random.default_rng(seed)
         signal = random_signal(rng, kind)
-        h = float(10.0 ** rng.uniform(-3.0, 0.0))
-        n = int(rng.integers(0, 30))
-        k = np.arange(-1, n + 1, dtype=float)
-        want = _batch.synth_many(signal, k * h, (k + 1.0) * h)
+        keys = [(float(10.0 ** rng.uniform(-3.0, 0.0)),
+                 int(rng.integers(0, 30)))
+                for _ in range(int(rng.integers(1, 4)))]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_batch, "BLOCK", int(rng.integers(1, 8)))
-            grid = _batch.IncrementGrid(signal, h, n)
-        assert np.array_equal(grid.values, want)
-        assert np.array_equal(grid.span(-1, n + 1), want)
+            grids = _batch.increment_grids(signal, keys)
+        for (h, n), grid in zip(keys, grids):
+            k = np.arange(-1, n + 1, dtype=float)
+            want = _batch.synth_many(signal, k * h, (k + 1.0) * h)
+            assert grid.h == h
+            assert np.array_equal(grid.values, want)
+            assert np.array_equal(grid.span(-1, n + 1), want)
 
 
 class TestRateSteps:
@@ -270,7 +379,7 @@ class TestRateSteps:
         dt = float(10.0 ** rng.uniform(-3.0, -1.5))
         k0 = int(rng.integers(0, 10))
         k1 = k0 + int(rng.integers(1, 12))
-        got = _batch.rate_steps(signal, t0, [dt], tab, mode, [(0, k0, k1)])
+        got = rate_steps(signal, t0, [dt], tab, mode, [(0, k0, k1)])
         for k, row in zip(range(k0, k1), got):
             want = integrate_attitude_step(
                 lambda t: omega_at(signal, t), t0 + k * dt, dt, tab, mode)
@@ -296,13 +405,13 @@ class TestRateSteps:
         if tab.n == 1:
             # Forward Euler evaluates only at phi = 0, never out of domain.
             assert expected is None
-            _batch.rate_steps(signal, 0.0, [dt], tab,
-                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 40)])
+            rate_steps(signal, 0.0, [dt], tab, JacobianMode.EXACT_CLOSED_FORM,
+                       [(0, 0, 40)])
             return
         assert isinstance(expected.__cause__, AngleOutOfDomain)
         with pytest.raises(StageEvaluationError) as info:
-            _batch.rate_steps(signal, 0.0, [dt], tab,
-                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 40)])
+            rate_steps(signal, 0.0, [dt], tab, JacobianMode.EXACT_CLOSED_FORM,
+                       [(0, 0, 40)])
         assert isinstance(info.value.__cause__, AngleOutOfDomain)
         assert (info.value.stage, info.value.time) == \
             (expected.stage, expected.time)
@@ -317,8 +426,8 @@ class TestRateSteps:
             integrate_attitude_step(lambda t: omega_at(signal, t), 0.0, 8.0,
                                     tab)
         with pytest.raises(StageEvaluationError) as array:
-            _batch.rate_steps(signal, 0.0, [8.0], tab,
-                              JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 2)])
+            rate_steps(signal, 0.0, [8.0], tab,
+                       JacobianMode.EXACT_CLOSED_FORM, [(0, 0, 2)])
         assert str(array.value) == str(scalar.value)
         assert str(scalar.value).startswith("stage 3 at t=8.0: angle ")
         assert type(array.value.time) is float
@@ -388,10 +497,10 @@ class TestCorrections:
                     inc(k * minor - 1, sub)))
         segments = [(0, k0, k1)]
         if name == "two_speed":
-            grids = [_batch.IncrementGrid(signal, dt / minor, k1 * minor)]
+            grids = _batch.increment_grids(signal, [(dt / minor, k1 * minor)])
             got = _batch.two_speed_steps(grids, minor, segments)
         else:
-            grids = [_batch.IncrementGrid(signal, dt, k1)]
+            grids = _batch.increment_grids(signal, [(dt, k1)])
             got = (_batch.rk4_theta2_steps(grids, segments)
                    if name == "rk4_theta2" else _batch.cross_sum_steps(
                        MILLER if name == "miller" else RK4_THETA3, grids,
@@ -475,8 +584,25 @@ class TestComposer:
         want = np.eye(3)
         for m in mats:
             want = compose(m, want)
-        got = _batch.chain_product(mats.copy())
+        got = product(mats.copy())
         assert attitude_error_angle(got, want) <= CHAIN_TOL * n
+
+    @given(seed=seeds, lengths=st.lists(
+        st.integers(min_value=1, max_value=_batch.BLOCK), min_size=1,
+        max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_one_tree_equals_the_tree_of_each_segment(self, seed, lengths):
+        # Segments of any length and order share one tree, padded with
+        # identities; each product is bit for bit its own segment's tree.
+        rng = np.random.default_rng(seed)
+        for lengths in (lengths, [3, 2048, 1, 1000, 5, 6, 7]):
+            mats = _batch.dcm_many(
+                random_rotation_vectors(rng, sum(lengths), 0.3))
+            ends = np.cumsum(lengths).tolist()
+            got = _batch.chain_products(mats, lengths)
+            assert len(got) == len(lengths)
+            for prod, n, end in zip(got, lengths, ends):
+                assert np.array_equal(prod, chain_product(mats[end - n:end]))
 
     @pytest.mark.parametrize("n", [1, 2, 7, 33])
     def test_compose_steps_folds_blocks_in_order(self, n):
@@ -518,11 +644,11 @@ class TestComposer:
         # back onto SO(3).
         rng = np.random.default_rng(606)
         mats = _batch.dcm_many(random_rotation_vectors(rng, 8, 0.3))
-        block = _batch.chain_product(mats * (1.0 + 1e-9))
+        block = product(mats * (1.0 + 1e-9))
         assert orthogonality_defect(block) > DRIFT_TOL
         got = compose(block, np.eye(3))
         assert orthogonality_defect(got) <= DRIFT_TOL
-        assert attitude_error_angle(got, _batch.chain_product(mats)) <= 1e-15
+        assert attitude_error_angle(got, product(mats)) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_not_near_orthogonal_raised_like_compose(self, n):
@@ -533,7 +659,7 @@ class TestComposer:
             for m in mats:
                 t = compose(m, t)
         with pytest.raises(NotNearOrthogonal):
-            compose(_batch.chain_product(mats), np.eye(3))
+            compose(product(mats), np.eye(3))
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_nan_entry_raises(self, n):
@@ -541,7 +667,7 @@ class TestComposer:
         mats = _batch.dcm_many(random_rotation_vectors(rng, n, 0.3))
         mats[n - 1, 1, 1] = np.nan
         with pytest.raises(NotNearOrthogonal):
-            compose(_batch.chain_product(mats), np.eye(3))
+            compose(product(mats), np.eye(3))
         # Through the composer: a NaN rotation vector in the second block.
         dphi = random_rotation_vectors(rng, 2 * n, 0.3)
         dphi[n + 1, 0] = np.nan
@@ -557,7 +683,7 @@ class TestComposer:
         rng = np.random.default_rng(seed)
         phi = random_rotation_vectors(rng, _batch.BLOCK, max_angle)
         mats = _batch.dcm_many(phi)
-        assert orthogonality_defect(_batch.chain_product(mats)) <= \
+        assert orthogonality_defect(product(mats)) <= \
             DRIFT_TOL / 10
 
 
@@ -635,7 +761,7 @@ class TestAgainstNumpy:
         def f(t, phi):
             return jinv(phi, mode) @ omega_at(signal, t)
 
-        got = _batch.rate_steps(signal, 0.0, [dt], tab, mode, [(0, 0, 6)])
+        got = rate_steps(signal, 0.0, [dt], tab, mode, [(0, 0, 6)])
         for k, row in enumerate(got):
             assert_rows_close(row, rk_step(f, k * dt, np.zeros(3), dt, tab))
 

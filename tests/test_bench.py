@@ -196,7 +196,7 @@ class TestPropagate:
         def no_work(*args, **kwargs):
             raise AssertionError("propagation started")
 
-        monkeypatch.setattr(bench._batch, "IncrementGrid", no_work)
+        monkeypatch.setattr(bench._batch, "increment_grids", no_work)
         monkeypatch.setattr(bench._batch, "compose_steps", no_work)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -471,9 +471,9 @@ class TestOnePassPerMethod:
         calls = []
         rate_steps = _batch.rate_steps
 
-        def spied(signal, t0, dts, tab, mode, segments):
+        def spied(samples, dts, tab, mode, segments):
             calls.append([(dts[c], k1 - k0) for c, k0, k1 in segments])
-            return rate_steps(signal, t0, dts, tab, mode, segments)
+            return rate_steps(samples, dts, tab, mode, segments)
 
         monkeypatch.setattr(_batch, "BLOCK", 8)
         monkeypatch.setattr(_batch, "rate_steps", spied)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coning_kit.errors import (NearPiRotation, NotNearOrthogonal,
-                               NotSkewSymmetric)
+from coning_kit.errors import (NearPiRotation, NonFiniteIncrement,
+                               NotNearOrthogonal, NotSkewSymmetric)
 from coning_kit.so3 import (attitude_error_angle, compose, cross,
                             dcm_from_rotation_vector, orthogonality_defect,
                             orthonormalize, rotation_vector_from_dcm, vee,
@@ -250,3 +250,37 @@ class TestOrthonormalize:
     def test_rejects_negative_determinant(self):
         with pytest.raises(NotNearOrthogonal):
             orthonormalize(np.diag([1.0, 1.0, -1.0]))
+
+
+class TestNonFiniteInput:
+    """The exp and log maps refuse a NaN or infinite input, which used to
+    give a NaN matrix or angle, or a bare ``math domain error``."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_exp_map_refuses_a_non_finite_angle(self, bad, axis):
+        # 1e200 is finite, but its squared norm overflows.
+        phi = [0.1, -0.2, 0.3]
+        phi[axis] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteIncrement, match="no finite angle"):
+                dcm_from_rotation_vector(phi)
+        assert issubclass(NonFiniteIncrement, ValueError)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(i, j) for i in range(3)
+                                       for j in range(3)])
+    def test_log_map_refuses_a_non_finite_entry(self, bad, entry):
+        t = dcm_from_rotation_vector([0.5, -0.2, 0.9])
+        t[entry] = bad
+        with pytest.raises(NotNearOrthogonal, match="non-finite entry"):
+            rotation_vector_from_dcm(t)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+    def test_error_angle_refuses_a_nan_matrix(self, entry):
+        t = dcm_from_rotation_vector([0.5, -0.2, 0.9])
+        t[entry] = math.nan
+        for args in ((t, np.eye(3)), (np.eye(3), t)):
+            with pytest.raises(NotNearOrthogonal):
+                attitude_error_angle(*args)

@@ -222,6 +222,17 @@ class TestExactAttitude:
 
 
 class TestSynthDeltaTheta:
+    def test_gauss_legendre_literals_are_leggauss(self):
+        # The rule is written out so that import computes nothing; it must
+        # stay numpy's, bit for bit, signed zero included.
+        nodes, weights = np.polynomial.legendre.leggauss(5)
+        assert len(trajectory._GL_PAIRS) == 5
+        for (x, w), want_x, want_w in zip(trajectory._GL_PAIRS,
+                                          nodes.tolist(), weights.tolist()):
+            assert type(x) is float and type(w) is float
+            assert (x.hex(), w.hex()) == (want_x.hex(), want_w.hex())
+            assert math.copysign(1.0, x) == math.copysign(1.0, want_x)
+
     def test_constant_rate_exact(self):
         signal = make_poly([[0.25, 0.0, 0.0]])
         out = synth_delta_theta(signal, 0.0, 0.5)
@@ -453,7 +464,8 @@ class TestReferenceAttitude:
         signal = preset(name)
         n, prev = trajectory.reference_substeps(signal, 0.0, 4.0), None
         while True:
-            produce = partial(_batch.rate_steps, signal, 0.0, [4.0 / n],
+            produce = partial(_batch.rate_steps,
+                              _batch.RateSamples(signal, 0.0), [4.0 / n],
                               tableau_rk4(), JacobianMode.EXACT_CLOSED_FORM)
             [curr] = _batch.compose_steps(produce, [n])
             if prev is not None and attitude_error_angle(curr, prev) <= 1e-13:
