@@ -18,8 +18,7 @@ from .coning import (ConingResult, affine_coning_oracle,
 from .errors import (AngleOutOfDomain, ConfigError, ConingKitError,
                      DegenerateStep, EmptyWindow, InsufficientData,
                      NearPiRotation, NoConvergence, NonFiniteIncrement,
-                     NotNearOrthogonal, NotSkewSymmetric, SingularSystem,
-                     StageEvaluationError)
+                     NotNearOrthogonal, SingularSystem, StageEvaluationError)
 from .kinematics import JacobianMode, bortz_rhs, jinv, jinv_coefficient
 from .rate_model import (MeasurementWindow, RatePolynomial, eval_rate,
                          fit_polynomial, rk_node_samples)
@@ -28,7 +27,7 @@ from .rk import (ButcherTableau, delta_phi_closed, integrate_attitude_step,
                  tableau_rk3, tableau_rk4, validate_tableau)
 from .so3 import (attitude_error_angle, compose, cross,
                   dcm_from_rotation_vector, orthogonality_defect,
-                  orthonormalize, rotation_vector_from_dcm, vee, wedge)
+                  orthonormalize, rotation_vector_from_dcm, wedge)
 from .trajectory import (ConingRotationVector, FourierRate, PolynomialRate,
                          exact_attitude, omega_at, preset, reference_attitude,
                          synth_delta_theta, PRESET_NAMES)

@@ -38,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -81,11 +81,12 @@ class MethodKind(Enum):
     RK4_THETA2 = "rk4theta2"
 
 
+#: Each rate method's tableau, built on first use and then shared.
 _OMEGA_TABLEAUX = {
-    MethodKind.FWD_EULER_OMEGA: tableau_forward_euler,
-    MethodKind.EXPLICIT_MIDPOINT_OMEGA: tableau_explicit_midpoint,
-    MethodKind.RK3_OMEGA: tableau_rk3,
-    MethodKind.RK4_OMEGA: tableau_rk4,
+    MethodKind.FWD_EULER_OMEGA: cache(tableau_forward_euler),
+    MethodKind.EXPLICIT_MIDPOINT_OMEGA: cache(tableau_explicit_midpoint),
+    MethodKind.RK3_OMEGA: cache(tableau_rk3),
+    MethodKind.RK4_OMEGA: cache(tableau_rk4),
 }
 
 _INCREMENT_STEPS = {

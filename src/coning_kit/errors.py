@@ -37,10 +37,6 @@ class ConingKitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSkewSymmetric(ConingKitError):
-    """Matrix handed to ``vee`` is not skew-symmetric within tolerance."""
-
-
 class NearPiRotation(ConingKitError):
     """Log map requested for a rotation whose angle is too close to pi."""
 

@@ -77,10 +77,9 @@ def jinv_coefficient(angle: float) -> float:
 def _coefficient_series(a2):
     """``c`` by Horner's rule of ``_C_TAYLOR`` in ``a^2``, for angles below
     1 rad; on floats or columns."""
-    acc = 0.0
-    for coef in reversed(_C_TAYLOR):
-        acc = acc * a2 + coef
-    return acc
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C_TAYLOR
+    return c0 + a2 * (c1 + a2 * (c2 + a2 * (c3 + a2 * (c4 + a2 * (c5 + a2 * (
+        c6 + a2 * (c7 + a2 * (c8 + a2 * (c9 + a2 * c10)))))))))
 
 
 def _coefficient_trig(a, lib):

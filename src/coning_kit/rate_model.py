@@ -45,7 +45,7 @@ class MeasurementWindow(Frozen):
         if inc.ndim != 2 or inc.shape[1] != 3 or inc.shape[0] < 2:
             raise ValueError(
                 f"increments must have shape (Q >= 2, 3), got {inc.shape}")
-        if not np.isfinite(inc).all():
+        if not all(map(math.isfinite, inc.ravel().tolist())):
             raise ValueError("increments must be finite")
         if not 0.0 < dt < math.inf:
             raise DegenerateStep(

@@ -14,12 +14,15 @@ weights ``b`` and a cross-sum table on the stage rates, read by
 ``so3._cross_sum`` like the ``coning`` corrections.
 
 ``integrate_attitude_step`` is the per-call path of a strapdown update: it
-runs the scheme on Python floats, with the same operations in the same
-order as ``rk_step`` on ``kinematics.bortz_rhs``, so the two agree bit for
-bit; ``rk_step`` is its oracle in the tests.  Its stages are evaluated by
-``kinematics._apply_jacobian``, the kernel the array engine runs on
-columns.  Both step routines read the tableau's coefficients from the plan
-``ButcherTableau`` precomputes as Python floats.
+runs the scheme on Python floats, with the operations and order of
+``rk_step`` on ``kinematics.bortz_rhs``, except that stage 0 is
+``dt * omega``, as in the array engine.  The two steps agree bit for bit on
+finite rates: their stage 0 may differ only in the sign of an exactly-zero
+component, which no later sum keeps.  ``rk_step`` is its oracle in the
+tests.  The later stages are evaluated by ``kinematics._apply_jacobian``,
+the kernel the array engine runs on columns.  Both step routines read the
+tableau's coefficients from the plan ``ButcherTableau`` precomputes as
+Python floats.
 """
 
 from __future__ import annotations
@@ -190,13 +193,17 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
 
     Runs one step of the scheme on ``phi_dot = jinv(phi, mode) @
     sampler(t)`` from the zero initial condition, so the returned vector is
-    the incremental rotation of the step.  For a constant angular rate every
-    tableau is exact: the increment is ``dt * omega``.  The result equals
-    ``rk_step`` on ``kinematics.bortz_rhs`` bit for bit, including the stage
-    and time of a ``StageEvaluationError``.
+    the incremental rotation of the step.  Stage 0, at ``phi = 0``, is
+    ``dt * omega`` and evaluates no Jacobian.  For a constant angular rate
+    every tableau is exact: the increment is ``dt * omega``.  On finite
+    rates the result equals ``rk_step`` on ``kinematics.bortz_rhs`` bit for
+    bit, including the stage and time of a ``StageEvaluationError``: the
+    stages differ at most in the sign of an exactly-zero component of stage
+    0, which no sum of the step keeps.
     """
     _check_dt(dt)
     exact = mode is JacobianMode.EXACT_CLOSED_FORM
+    c = 1.0 / 12.0
     stage_plan, weights = tab._plan
     stages = []
     for nu, (c_nu, row) in enumerate(stage_plan):
@@ -210,13 +217,15 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
         try:
             w = sampler(t_nu)
             wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
-            if exact:
+            if nu and exact:
                 c = jinv_coefficient(math.sqrt(px * px + py * py + pz * pz))
-            else:
-                c = 1.0 / 12.0
         except Exception as exc:
             raise StageEvaluationError(nu, t_nu, str(exc)) from exc
-        stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, c, dt))
+        if nu:
+            stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, c, dt))
+        else:
+            # phi = 0, where the Jacobian is the identity.
+            stages.append((dt * wx, dt * wy, dt * wz))
     ox = oy = oz = 0.0
     for l, b_l in weights:
         sx, sy, sz = stages[l]

@@ -26,11 +26,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import (NearPiRotation, NonFiniteIncrement, NotNearOrthogonal,
-                     NotSkewSymmetric)
-
-#: Frobenius tolerance for accepting a matrix as skew-symmetric in ``vee``.
-SKEW_TOL = 1e-9
+from .errors import NearPiRotation, NonFiniteIncrement, NotNearOrthogonal
 
 #: Log-map domain margin: angles above ``pi - NEAR_PI_MARGIN`` are rejected.
 NEAR_PI_MARGIN = 1e-6
@@ -64,21 +60,6 @@ def wedge(v: np.ndarray) -> np.ndarray:
                      [-y, x, 0.0]])
 
 
-def vee(m: np.ndarray, tol_skew: float = SKEW_TOL) -> np.ndarray:
-    """Extract the vector of a skew-symmetric matrix (inverse of ``wedge``).
-
-    Reads the (2,1), (0,2), (1,0) entries.  Raises ``NotSkewSymmetric`` if
-    ``|m + m^T|_F`` exceeds ``tol_skew``.
-    """
-    m = np.asarray(m, dtype=float)
-    sym = m + m.T
-    if math.sqrt(float((sym * sym).sum())) > tol_skew:
-        raise NotSkewSymmetric(
-            f"|M + M^T|_F = {math.sqrt(float((sym * sym).sum())):.3e} "
-            f"exceeds {tol_skew:.1e}")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
 def dcm_from_rotation_vector(phi: np.ndarray) -> np.ndarray:
     """DCM of a rotation vector via the finite rotation formula.
 
@@ -108,11 +89,11 @@ def _dcm_entries(x, y, z, k1, k2):
     """Row-major entries of ``I - k1 [phi x] + k2 [phi x]^2``, on floats
     for ``dcm_from_rotation_vector`` or columns for ``_batch.dcm_many``."""
     xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
     k1x, k1y, k1z = k1 * x, k1 * y, k1 * z
-    return (1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
-            -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
-            k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy))
+    kxy, kxz, kyz = k2 * (x * y), k2 * (x * z), k2 * (y * z)
+    return (1.0 - k2 * (yy + zz), kxy + k1z, kxz - k1y,
+            kxy - k1z, 1.0 - k2 * (xx + zz), kyz + k1x,
+            kxz + k1y, kyz - k1x, 1.0 - k2 * (xx + yy))
 
 
 def _cross_sum(table, rows):
@@ -185,12 +166,15 @@ def compose(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
     return t
 
 
+@np.errstate(invalid="ignore")
 def attitude_error_angle(t_est: np.ndarray, t_ref: np.ndarray) -> float:
     """Principal angle of the relative rotation between two DCMs, in rad.
 
     Zero iff the matrices are equal; symmetric in its arguments.  Propagates
     ``NearPiRotation`` for relative rotations near pi, and
-    ``NotNearOrthogonal`` for a NaN or infinite entry.
+    ``NotNearOrthogonal`` for a NaN or infinite entry, without a warning:
+    such an entry makes a row or column of the relative rotation NaN or
+    infinite.
     """
     rel = np.asarray(t_est) @ np.asarray(t_ref).T
     rv = rotation_vector_from_dcm(rel)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -47,6 +47,9 @@ _GL_PAIRS = ((-0.906179845938664, 0.23692688505618928),
              (0.0, 0.5688888888888887),
              (0.5384693101056831, 0.4786286704993663),
              (0.906179845938664, 0.23692688505618928))
+
+#: The reference's tableau, built on first use and then shared.
+_tableau_rk6 = cache(tableau_rk6)
 
 #: Names accepted by ``preset``.
 PRESET_NAMES = ("poly3", "fourier3", "coning")
@@ -240,7 +243,10 @@ def _sines(signal: AnalyticAttitudeSignal) -> list:
 
 
 def omega_at(signal: AnalyticAttitudeSignal, t: float) -> np.ndarray:
-    """Angular velocity of the signal at time ``t`` (exact closed form)."""
+    """Angular velocity of the signal at time ``t`` (exact closed form).
+    Raises ``ValueError`` unless ``t`` is finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"need a finite time, got {t!r}")
     return np.array(_rate_xyz(signal, t))
 
 
@@ -286,7 +292,7 @@ def _reference_pass(signal, t0: float, t1: float, levels: list) -> list:
 
     return _batch.compose_steps(partial(
         _batch.rate_steps, _batch.RateSamples(signal, t0),
-        [(t1 - t0) / n for n in levels], tableau_rk6(),
+        [(t1 - t0) / n for n in levels], _tableau_rk6(),
         JacobianMode.EXACT_CLOSED_FORM), levels)
 
 

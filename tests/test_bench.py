@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coning_kit import _batch, bench
+from coning_kit import _batch, bench, rk
 from coning_kit.bench import (ERROR_FLOOR, MAX_CELL_STEPS, ErrorRecord,
                               MethodId, MethodKind, SweepConfig,
                               estimate_order, propagate, run_sweep,
@@ -342,6 +342,26 @@ class TestRunSweep:
         monkeypatch.setattr(bench, "reference_attitude", counted)
         run_sweep(self.small_config())
         assert calls == [(0.0, 1.0, 1e-12)]
+
+    def test_tableaux_built_once_per_process(self, monkeypatch):
+        # Every rate method and the step-doubled reference, after one sweep
+        # has built their tableaux.
+        cfg = SweepConfig(signal="fourier3", methods=tuple(
+            MethodId(kind) for kind in bench._OMEGA_TABLEAUX),
+            step_sizes=(1.0 / 16.0, 1.0 / 32.0), horizon=1.0)
+        want = run_sweep(cfg)
+        built = []
+
+        class Counted(rk.ButcherTableau):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "ButcherTableau", Counted)
+        got = run_sweep(cfg)
+        assert built == []
+        assert [r.final_error_angle for r in got.records()] == \
+            [r.final_error_angle for r in want.records()]
 
     def test_fit_excludes_records_the_reference_cannot_resolve(self):
         # fourier3 rk4omega at dt = 1/256 is about 4e-13: above the roundoff

@@ -14,7 +14,14 @@ is a closed form, held to the oracle's composite Gauss-Legendre rule on
 converged panels to ``ROW_TOL`` relative to ``(t1 - t0) max|omega|
 (1 + |phase|)``.
 ``integrate_attitude_step`` is held to ``rk_step`` on the Bortz right-hand
-side, and ``rk_step`` to its loop over the tableau arrays.
+side, and ``rk_step`` to its loop over the tableau arrays.  Its stage 0 is
+``dt * omega``, with no Jacobian, where ``rk_step`` adds the signed zeros of
+``phi x omega`` terms at ``phi = 0``: the stages may differ in the sign of
+an exactly-zero component, and the steps still agree bit for bit, zero
+rate components included.
+The kernels the per-call functions share with the array engine,
+``so3._dcm_entries`` and ``kinematics._coefficient_series``, are held bit
+for bit, on floats and on columns, to the longer forms written out here.
 
 ``orthogonality_defect`` is the third exception: numpy forms ``T^T T`` with
 BLAS, which may fuse multiply-adds, so the float formula agrees only to
@@ -28,18 +35,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from coning_kit import rk
 from coning_kit.coning import (miller_single_speed, rk4_theta2, rk4_theta3,
                                two_speed_classic)
 from coning_kit.errors import AngleOutOfDomain, StageEvaluationError
-from coning_kit.kinematics import JacobianMode, bortz_rhs, jinv_coefficient
+from coning_kit.kinematics import (_C_TAYLOR, JacobianMode,
+                                   _apply_jacobian, _coefficient_series,
+                                   bortz_rhs, jinv_coefficient)
 from coning_kit.rate_model import (MeasurementWindow, RatePolynomial,
                                    eval_rate)
 from coning_kit.rk import (ButcherTableau, integrate_attitude_step, rk_step,
                            tableau_explicit_midpoint, tableau_forward_euler,
                            tableau_rk3, tableau_rk4, tableau_rk6)
-from coning_kit.so3 import (compose, cross, dcm_from_rotation_vector,
-                            orthogonality_defect, orthonormalize, wedge)
+from coning_kit.so3 import (_dcm_entries, compose, cross,
+                            dcm_from_rotation_vector, orthogonality_defect,
+                            orthonormalize, wedge)
 from coning_kit.trajectory import (ConingRotationVector, FourierRate,
                                    PolynomialRate, omega_at,
                                    synth_delta_theta)
@@ -169,6 +181,25 @@ def np_bortz_rhs(phi, omega, mode):
     return omega + 0.5 * c1 + c * cross(phi, c1)
 
 
+def signed_term_dcm_entries(x, y, z, k1, k2):
+    """``so3._dcm_entries`` as a sum of signed terms: each ``k2`` product
+    formed where it is used, and a skew term negated before it is added."""
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    k1x, k1y, k1z = k1 * x, k1 * y, k1 * z
+    return (1.0 - k2 * (yy + zz), k1z + k2 * xy, -k1y + k2 * xz,
+            -k1z + k2 * xy, 1.0 - k2 * (xx + zz), k1x + k2 * yz,
+            k1y + k2 * xz, -k1x + k2 * yz, 1.0 - k2 * (xx + yy))
+
+
+def loop_coefficient_series(a2):
+    """``kinematics._coefficient_series`` as a Horner loop from 0.0."""
+    acc = 0.0
+    for coef in reversed(_C_TAYLOR):
+        acc = acc * a2 + coef
+    return acc
+
+
 def bortz_attitude_step(sampler, t_k, dt, tab, mode):
     def f(t, phi):
         return bortz_rhs(phi, sampler(t), mode)
@@ -207,6 +238,54 @@ def np_synth_delta_theta(signal, t0, t1, panels):
 
 
 # ---------------------------------------------------------------- tests
+
+
+def bits(values):
+    """The bit patterns of float values or of equal-length columns, so that
+    equality also tells signed zeros apart."""
+    return np.array(values, dtype=float).view(np.uint64)
+
+
+#: Finite operands whose products and sums of two stay finite.
+kernel_floats = st.floats(min_value=-1e100, max_value=1e100)
+#: ``a^2`` over the series form's domain, angles below 1 rad.
+squared_angles = st.floats(min_value=0.0, max_value=1.0)
+
+
+def columns(elements, count):
+    """``count`` float64 columns of one drawn length."""
+    return st.integers(1, 8).flatmap(lambda n: st.tuples(
+        *[hnp.arrays(np.float64, n, elements=elements)] * count))
+
+
+class TestSharedKernels:
+    """The kernels the per-call functions share with the array engine,
+    against the longer forms they replaced, on floats and on columns."""
+
+    @given(st.tuples(*[kernel_floats] * 5))
+    @settings(max_examples=300)
+    def test_dcm_entries_on_floats(self, args):
+        assert np.array_equal(bits(_dcm_entries(*args)),
+                              bits(signed_term_dcm_entries(*args)))
+
+    @given(columns(kernel_floats, 5))
+    @settings(max_examples=100)
+    def test_dcm_entries_on_columns(self, args):
+        assert np.array_equal(bits(_dcm_entries(*args)),
+                              bits(signed_term_dcm_entries(*args)))
+
+    @given(squared_angles)
+    @settings(max_examples=300)
+    def test_coefficient_series_on_floats(self, a2):
+        assert bits(_coefficient_series(a2)) == \
+            bits(loop_coefficient_series(a2))
+
+    @given(columns(squared_angles, 1))
+    @settings(max_examples=100)
+    def test_coefficient_series_on_columns(self, a2):
+        [a2] = a2
+        assert np.array_equal(bits(_coefficient_series(a2)),
+                              bits(loop_coefficient_series(a2)))
 
 
 def assert_result_equal(got, want):
@@ -335,6 +414,65 @@ class TestIntegrateAttitudeStep:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("factory", TABLEAUX)
+    @pytest.mark.parametrize("mode", list(JacobianMode))
+    @given(rates=st.lists(st.tuples(*[st.sampled_from(
+        [0.0, -0.0, 5e-324, -0.25, 0.5, 3.0])] * 3), min_size=7, max_size=7))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_rk_step_with_zero_rate_components(self, factory, mode,
+                                                       rates):
+        # Stage 0 is dt * omega, where rk_step's Bortz rate adds signed
+        # zeros to omega: only the sign of a zero component can differ, and
+        # every later sum starts at +0.0, so the step agrees bit for bit.
+        tab = factory()
+        node_rates = dict(zip(tab.c.tolist(), map(np.array, rates)))
+        results = []
+        for step in (integrate_attitude_step, bortz_attitude_step):
+            try:
+                results.append(bits(step(lambda t: node_rates[t], 0.0, 1.0,
+                                         tab, mode)))
+            except StageEvaluationError as exc:
+                results.append(str(exc))
+        got, want = results
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("factory", TABLEAUX)
+    @given(seed=seeds)
+    @settings(max_examples=20, deadline=None)
+    def test_stage_zero_is_dt_omega(self, factory, seed):
+        # With all the weight on stage 0, the step returns stage 0.
+        tab = factory()
+        first = ButcherTableau(tab.a, np.eye(tab.n)[0], tab.c)
+        rng = np.random.default_rng(seed)
+        t_k, dt = rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-4.0, -0.5)
+        sampler = random_sampler(rng, t_k, 10.0 ** rng.uniform(-2.0, 1.0))
+        for mode in JacobianMode:
+            assert np.array_equal(
+                integrate_attitude_step(sampler, t_k, dt, first, mode),
+                dt * sampler(t_k))
+
+    @pytest.mark.parametrize("factory", TABLEAUX)
+    def test_stage_zero_evaluates_no_jacobian(self, factory, monkeypatch):
+        calls = {"jinv_coefficient": 0, "_apply_jacobian": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name, fn in (("jinv_coefficient", jinv_coefficient),
+                         ("_apply_jacobian", _apply_jacobian)):
+            monkeypatch.setattr(rk, name, counted(name, fn))
+        tab = factory()
+        for mode, coefficients in ((JacobianMode.EXACT_CLOSED_FORM, tab.n - 1),
+                                   (JacobianMode.THIRD_ORDER_APPROX, 0)):
+            calls.update(dict.fromkeys(calls, 0))
+            integrate_attitude_step(lambda t: np.array([0.3, -0.2, 0.1]),
+                                    0.0, 0.1, tab, mode)
+            assert calls == {"jinv_coefficient": coefficients,
+                             "_apply_jacobian": tab.n - 1}
 
     @pytest.mark.parametrize("factory", TABLEAUX)
     @given(seed=seeds, data=st.data())

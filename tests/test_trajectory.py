@@ -183,6 +183,12 @@ class TestOmegaAt:
         with pytest.raises(TypeError):
             omega_at(object(), 0.0)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, name, t):
+        with pytest.raises(ValueError, match="finite time"):
+            omega_at(preset(name), t)
+
     @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_cone_rate_matches_40_digit_arithmetic(self, seed):
