@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coning import _rk4_theta2_beta, _two_speed_phi
-from .errors import (AngleOutOfDomain, NonFiniteIncrement,
+from .errors import (AngleOutOfDomain, ConingKitError, NonFiniteIncrement,
                      StageEvaluationError)
 from .kinematics import (MAX_ANGLE, JacobianMode, _apply_jacobian,
                          _coefficient_series, _coefficient_trig)
@@ -108,8 +108,8 @@ class RateSamples:
     The rate methods of a sweep run the same calls, so the columns sampled
     at a node of ``keep`` are kept for a later tableau that reads it; the
     caller drops them after the last one.  A call is keyed by the step
-    width and range of each of its segments: a pass over other segments,
-    such as a one-cell retry, never reads rows made for this one.
+    width and range of each of its segments: a call of other segments,
+    such as one run again alone, never reads rows made for this one.
     """
 
     def __init__(self, signal, t0: float):
@@ -329,10 +329,12 @@ def chain_products(mats: np.ndarray, lengths) -> list:
 
 
 def compose_steps(produce, steps, block: int = BLOCK) -> list:
-    """Attitude after each cell's steps, from the identity; cell c has
-    ``steps[c]``.  ``produce(segments)`` returns the rotation vectors of a
+    """Outcome of each cell's steps from the identity, cell c having
+    ``steps[c]``: its attitude, or the ``ConingKitError`` a pass of the cell
+    alone raises.  ``produce(segments)`` returns the rotation vectors of a
     call's segments, one after the other; each segment's product is folded
-    onto its cell's attitude with ``so3.compose``, right to left."""
+    onto its cell with ``so3.compose``, right to left.  A call that raises
+    runs again segment by segment; a cell's first error skips the rest."""
     calls, rows = [], block
     for c, n in enumerate(steps):
         for k0 in range(0, n, block):
@@ -342,10 +344,24 @@ def compose_steps(produce, steps, block: int = BLOCK) -> list:
                 rows = 0
             calls[-1].append((c, k0, k1))
             rows += k1 - k0
-    attitudes = [np.eye(3) for _ in steps]
+    outcomes = [np.eye(3) for _ in steps]
     for call in calls:
-        products = chain_products(dcm_many(produce(call)),
-                                  [k1 - k0 for _, k0, k1 in call])
-        for (c, _, _), product in zip(call, products):
-            attitudes[c] = compose(product, attitudes[c])
-    return attitudes
+        call = [s for s in call if isinstance(outcomes[s[0]], np.ndarray)]
+        try:
+            runs = [(call, produce(call))] if call else []
+        except ConingKitError:
+            runs = [([s], None) for s in call]
+        for run, phi in runs:
+            try:
+                phi = produce(run) if phi is None else phi
+            except ConingKitError as exc:
+                outcomes[run[0][0]] = exc
+                continue
+            products = chain_products(dcm_many(phi),
+                                      [k1 - k0 for _, k0, k1 in run])
+            for (c, _, _), product in zip(run, products):
+                try:
+                    outcomes[c] = compose(product, outcomes[c])
+                except ConingKitError as exc:
+                    outcomes[c] = exc
+    return outcomes

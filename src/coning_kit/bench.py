@@ -27,9 +27,9 @@ step-by-step loop over the per-call functions in its last digits; the
 tests hold the default sweeps to 1e-6 relative, or 1e-12 absolute.
 
 The report is method-major and dt-descending; repeated runs give bitwise
-identical records (wall times excepted).  A pass that raises a
-``ConingKitError`` is run again one cell at a time; a cell that raises
-alone is left out of the records and listed with its reason.
+identical records (wall times excepted).  A cell whose pass gives it a
+``ConingKitError``, the error it raises alone, is left out of the records
+and listed with its reason.
 """
 
 from __future__ import annotations
@@ -195,13 +195,17 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
     Increment methods read exact synthetic measurements, from the warm-up
     increment before t = 0 (to one past the horizon for theta3).  A pass of
     one cell: equal to the cell of ``run_sweep`` bit for bit, and to the
-    step-by-step loop of the per-call functions to roundoff.  Raises
-    ``ConfigError``, before any work, on a cell beyond ``_check_cell``.
+    step-by-step loop of the per-call functions to roundoff.  Raises the
+    cell's ``ConingKitError``; ``ConfigError``, before any work, on a cell
+    beyond ``_check_cell``.
     """
     n = _step_count(dt, horizon)
     _check_cell(method, signal, dt, n)
-    return _propagate(method, signal, [(dt, n)], jacobian_mode, {},
-                      _batch.RateSamples(signal, 0.0))[0]
+    [final] = _propagate(method, signal, [(dt, n)], jacobian_mode, {},
+                         _batch.RateSamples(signal, 0.0))
+    if isinstance(final, ConingKitError):
+        raise final
+    return final
 
 
 def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
@@ -243,10 +247,10 @@ def _nodes(method: MethodId) -> frozenset:
 
 def _propagate(method: MethodId, signal, cells, jacobian_mode: JacobianMode,
                grids: dict, samples: _batch.RateSamples) -> list:
-    """Final attitude of each cell ``(dt, n)`` of ``method``, in one pass.
-    The grids the cells need and do not find in ``grids`` (by
-    ``_grid_key``) are synthesized together and added; a rate method reads
-    its stage rates from ``samples``."""
+    """Final attitude or ``ConingKitError`` of each cell ``(dt, n)`` of
+    ``method``, in one pass.  The grids the cells need and do not find in
+    ``grids`` (by ``_grid_key``) are synthesized together and added; a rate
+    method reads its stage rates from ``samples``."""
     minor = method.minor_steps or 1
     if method.uses_rate_samples:
         produce = partial(_batch.rate_steps, samples,
@@ -347,14 +351,14 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
 
     The truth is computed once: closed form where the signal has one,
     otherwise step-doubled.  Each method runs in one pass over all its step
-    sizes, retried one cell at a time if it raises a ``ConingKitError``; a
-    cell that raises alone gives no record, and its summary lists
-    ``(dt, reason)`` in ``failures``.  Methods share increment grids and
-    rate samples, each dropped after the last method that reads it.  A
-    record's ``wall_time`` is its share of its method's pass, in proportion
-    to steps.  Order fits exclude records the truth cannot resolve: at or
-    below ``ERROR_FLOOR`` against a closed form, ``REFERENCE_MARGIN`` times
-    the tolerance against the step-doubled reference.
+    sizes; a cell the pass gives a ``ConingKitError`` has no record, and
+    its summary lists ``(dt, reason)`` in ``failures``.  Methods share
+    increment grids and rate samples, each dropped after the last method
+    that reads it.  A record's ``wall_time`` is its share of its method's
+    pass, in proportion to steps.  Order fits exclude records the truth
+    cannot resolve: at or below ``ERROR_FLOOR`` against a closed form,
+    ``REFERENCE_MARGIN`` times the tolerance against the step-doubled
+    reference.
     """
     validate_config(cfg)
     signal = preset(cfg.signal)
@@ -376,18 +380,13 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
         # A pass keeps the rate samples of the nodes a later method reads.
         samples.keep = frozenset().union(*nodes[j + 1:])
         start = time.perf_counter()
-        finals, failed = {}, []
-        try:
-            finals = dict(zip(cells, _propagate(
-                method, signal, cells, cfg.jacobian_mode, grids, samples)))
-        except ConingKitError:
-            for cell in cells:
-                try:
-                    [finals[cell]] = _propagate(method, signal, [cell],
-                                                cfg.jacobian_mode, grids,
-                                                samples)
-                except ConingKitError as exc:
-                    failed.append((cell[0], f"{type(exc).__name__}: {exc}"))
+        outcomes = _propagate(method, signal, cells, cfg.jacobian_mode,
+                              grids, samples)
+        finals = {cell: final for cell, final in zip(cells, outcomes)
+                  if not isinstance(final, ConingKitError)}
+        failed = tuple((dt, f"{type(exc).__name__}: {exc}")
+                       for (dt, _), exc in zip(cells, outcomes)
+                       if isinstance(exc, ConingKitError))
         share = (time.perf_counter() - start) / max(1, sum(
             n for _, n in finals))
         records = tuple(ErrorRecord(
@@ -403,5 +402,5 @@ def run_sweep(cfg: SweepConfig) -> ConvergenceReport:
             order, residual = None, None
         summaries.append(MethodSummary(
             method=method, records=records, order=order,
-            fit_residual=residual, failures=tuple(failed)))
+            fit_residual=residual, failures=failed))
     return ConvergenceReport(summaries=tuple(summaries))

@@ -116,8 +116,8 @@ def bortz_rhs(phi: np.ndarray, omega: np.ndarray,
     c phi x (phi x omega)``, which is the same matrix-vector product written
     without building the matrix.  At ``phi = 0`` the rate equals ``omega``.
     """
-    px, py, pz = float(phi[0]), float(phi[1]), float(phi[2])
-    wx, wy, wz = float(omega[0]), float(omega[1]), float(omega[2])
+    px, py, pz = np.asarray(phi, dtype=float).tolist()
+    wx, wy, wz = np.asarray(omega, dtype=float).tolist()
     if mode is JacobianMode.EXACT_CLOSED_FORM:
         c = jinv_coefficient(math.sqrt(px * px + py * py + pz * pz))
     else:

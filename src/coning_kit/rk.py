@@ -215,17 +215,16 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
             pz += a_nl * sz
         t_nu = t_k + dt * c_nu
         try:
-            w = sampler(t_nu)
-            wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
-            if nu and exact:
+            wx, wy, wz = np.asarray(sampler(t_nu), dtype=float).tolist()
+            if not nu:
+                # phi = 0, where the Jacobian is the identity.
+                stages.append((dt * wx, dt * wy, dt * wz))
+                continue
+            if exact:
                 c = jinv_coefficient(math.sqrt(px * px + py * py + pz * pz))
+            stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, c, dt))
         except Exception as exc:
             raise StageEvaluationError(nu, t_nu, str(exc)) from exc
-        if nu:
-            stages.append(_apply_jacobian(px, py, pz, wx, wy, wz, c, dt))
-        else:
-            # phi = 0, where the Jacobian is the identity.
-            stages.append((dt * wx, dt * wy, dt * wz))
     ox = oy = oz = 0.0
     for l, b_l in weights:
         sx, sy, sz = stages[l]

@@ -32,7 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import Frozen, NoConvergence, StageEvaluationError, _set
+from .errors import ConingKitError, Frozen, NoConvergence, _set
 from .kinematics import JacobianMode
 from .rate_model import RatePolynomial
 from .rk import tableau_rk6
@@ -285,7 +285,7 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float,
 
 
 def _reference_pass(signal, t0: float, t1: float, levels: list) -> list:
-    """Attitudes of the refinements of ``levels`` substeps over
+    """Attitude or error of each refinement of ``levels`` substeps over
     ``[t0, t1]``, the cells of one pass of the array engine."""
     # Imported here: the engine depends on this module's signal types.
     from . import _batch
@@ -315,10 +315,10 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
     is returned.  The first pass runs the starting refinements n and 2n, the
     next the k = ceil(log_64(d / tol)) >= 1 halvings predicted from the last
     gap d, or two with no gap; the result is that of one refinement per
-    pass.  A pass that raises ``StageEvaluationError`` runs again one
-    refinement at a time, and one that raises alone gives no attitude.  No
-    refinement may use more than ``MAX_SUBSTEPS`` substeps: raises
-    ``NoConvergence``, chained to the last stage error if any, when the
+    pass.  A refinement the pass gives an error, such as a
+    ``StageEvaluationError``, has no attitude to compare.  No refinement
+    may use more than ``MAX_SUBSTEPS`` substeps: raises
+    ``NoConvergence``, chained to the last such error if any, when the
     next one would, without starting it, and ``ValueError`` unless
     ``tol >= 1e-13`` (NaN included).  The returned matrix is the rotation
     relative to the attitude at ``t0``.  Raises ``ValueError`` unless
@@ -334,16 +334,9 @@ def reference_attitude(signal: AnalyticAttitudeSignal, t0: float, t1: float,
             f"{MAX_SUBSTEPS}")
     levels, prev, error = [n, 2 * n], None, None
     while levels := [m for m in levels if m <= MAX_SUBSTEPS]:
-        try:
-            attitudes = _reference_pass(signal, t0, t1, levels)
-        except StageEvaluationError:
-            attitudes = []
-            for m in levels:
-                try:
-                    attitudes += _reference_pass(signal, t0, t1, [m])
-                except StageEvaluationError as exc:
-                    attitudes, error = attitudes + [None], exc
-        for curr in attitudes:
+        for curr in _reference_pass(signal, t0, t1, levels):
+            if isinstance(curr, ConingKitError):
+                curr, error = None, curr
             gap = (None if prev is None or curr is None
                    else attitude_error_angle(curr, prev))
             if gap is not None and gap <= tol:

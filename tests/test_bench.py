@@ -14,8 +14,9 @@ from coning_kit.bench import (ERROR_FLOOR, MAX_CELL_STEPS, ErrorRecord,
                               estimate_order, propagate, run_sweep,
                               validate_config)
 from coning_kit.cli import parse_method
-from coning_kit.errors import (ConfigError, ConingKitError, InsufficientData,
-                               NonFiniteIncrement)
+from coning_kit.errors import (AngleOutOfDomain, ConfigError, ConingKitError,
+                               InsufficientData, NonFiniteIncrement,
+                               StageEvaluationError)
 from coning_kit.rate_model import RatePolynomial
 from coning_kit.so3 import attitude_error_angle, dcm_from_rotation_vector
 from coning_kit.trajectory import (MAX_SUBSTEPS, PRESET_NAMES,
@@ -432,6 +433,11 @@ class TestRunSweep:
                                  "angle ")
         assert rk4.order == estimate_order(rk4.records,
                                            10 * cfg.tolerance)[0]
+        # Alone, the cell raises the error the sweep lists.
+        with pytest.raises(StageEvaluationError) as info:
+            propagate(rk4.method, preset("fourier3"), 8.0, 16.0)
+        assert reason == f"StageEvaluationError: {info.value}"
+        assert isinstance(info.value.__cause__, AngleOutOfDomain)
 
 
 #: Methods the pass tests draw from: every kind, and a two-speed count that
@@ -480,9 +486,9 @@ class TestOnePassPerMethod:
 
     def test_failing_cell_inside_a_packed_call(self, monkeypatch):
         # rk4omega at dt = 8 leaves the Jacobian's domain.  With BLOCK = 8
-        # its 2 steps share a call with the 4 steps at dt = 4: the pass
-        # raises, each cell runs alone, and the failure reads as it does
-        # when the cell has a call to itself.
+        # its 2 steps share a call with the 4 steps at dt = 4: the call
+        # raises, its segments run again one at a time, and the failure
+        # reads as it does when the cell has a call to itself.
         cfg = SweepConfig(signal="fourier3",
                           methods=(MethodId(MethodKind.FWD_EULER_OMEGA),
                                    MethodId(MethodKind.RK4_OMEGA)),
@@ -498,7 +504,10 @@ class TestOnePassPerMethod:
         monkeypatch.setattr(_batch, "BLOCK", 8)
         monkeypatch.setattr(_batch, "rate_steps", spied)
         euler, rk4 = run_sweep(cfg).summaries
-        assert [(8.0, 2), (4.0, 4)] in calls
+        # rk4omega's packed call, then its two segments alone, once.
+        retried = [[(8.0, 2), (4.0, 4)], [(8.0, 2)], [(4.0, 4)]]
+        assert any(calls[i:i + 3] == retried for i in range(len(calls)))
+        assert calls.count([(8.0, 2)]) == 1
         assert rk4.failures == alone
         [(dt, reason)] = rk4.failures
         assert dt == 8.0
@@ -510,6 +519,42 @@ class TestOnePassPerMethod:
         for rec in euler.records + rk4.records:
             final = propagate(rec.method, preset("fourier3"), rec.dt, 16.0)
             assert rec.final_error_angle == attitude_error_angle(final, ref)
+
+    def test_fold_failure_fails_only_its_cell(self, monkeypatch):
+        # A NaN rotation vector makes its segment's product NaN, and the
+        # fold onto the cell raises NotNearOrthogonal.  The cell fails; the
+        # cells that share its call keep their records bit for bit.
+        cfg = SweepConfig(signal="coning",
+                          methods=(MethodId(MethodKind.RK4_OMEGA),
+                                   MethodId(MethodKind.SINGLE_SPEED_THETA2)),
+                          step_sizes=DEFAULT_DTS[1:5], horizon=1.0)
+        want = run_sweep(cfg).summaries
+        rate_steps = _batch.rate_steps
+        calls = []
+
+        def poisoned(samples, dts, tab, mode, segments):
+            calls.append(len(segments))
+            phi = rate_steps(samples, dts, tab, mode, segments)
+            at = 0
+            for c, k0, k1 in segments:
+                if dts[c] == 0.0625:
+                    phi[at + 1, 0] = np.nan
+                at += k1 - k0
+            return phi
+
+        monkeypatch.setattr(_batch, "rate_steps", poisoned)
+        got = run_sweep(cfg).summaries
+        assert calls == [4]
+        [(dt, reason)] = got[0].failures
+        assert dt == 0.0625 and reason.startswith("NotNearOrthogonal: ")
+        assert got[1].failures == ()
+
+        def data(records):
+            return [dataclasses.replace(r, wall_time=0.0) for r in records]
+
+        assert data(got[0].records) == data(
+            r for r in want[0].records if r.dt != 0.0625)
+        assert data(got[1].records) == data(want[1].records)
 
     def test_non_finite_increments_fail_their_cells(self, monkeypatch):
         # The engine's own finiteness check raises a ConingKitError, which

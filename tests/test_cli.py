@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from coning_kit import bench, cli
+from coning_kit import bench, cli, trajectory
 from coning_kit.bench import MethodId, MethodKind
 from coning_kit.cli import parse_method, run_cli
 from coning_kit.errors import ConfigError, NoConvergence
@@ -388,9 +388,64 @@ def test_sweep_outcome_over_whole_configs(signal, methods, coarsest, ladder,
         else:
             assert isinstance(raised[0], NoConvergence), err.getvalue()
         return
+    # One pass per method, whether or not some of its cells fail.
+    assert len(propagated) == len(methods)
     records = [(row[0], row[2])
                for row in csv.reader(out.getvalue().splitlines()[1:])]
     failed = _FAILED_CELL.findall(err.getvalue())
     cells = [(parse_method(m).label(), repr(dt)) for m in methods for dt in dts]
     assert sorted(records + failed) == sorted(cells)
     assert code == (0 if records else 2)
+
+
+#: stderr of the eight-method poly3 sweep over 32 s: the cells whose stages
+#: leave the Jacobian's domain, then the fitted orders.
+_POLY3_32_STDERR = """\
+    fwdeuler: fitted order 0.265
+exmid dt=0.25: failed: StageEvaluationError: stage 1 at t=18.875: angle 6.332038808602793 outside [0, 6.282185307179586) rad
+exmid dt=0.125: failed: StageEvaluationError: stage 1 at t=23.4375: angle 6.306839049008506 outside [0, 6.282185307179586) rad
+exmid dt=0.0625: failed: StageEvaluationError: stage 1 at t=29.28125: angle 6.317557411030897 outside [0, 6.282185307179586) rad
+       exmid: fitted order 2.494
+rk3omega dt=0.25: failed: StageEvaluationError: stage 2 at t=15.25: angle 6.593459619715142 outside [0, 6.282185307179586) rad
+rk3omega dt=0.125: failed: StageEvaluationError: stage 2 at t=18.75: angle 6.331593692851445 outside [0, 6.282185307179586) rad
+rk3omega dt=0.0625: failed: StageEvaluationError: stage 2 at t=23.375: angle 6.306768042409573 outside [0, 6.282185307179586) rad
+rk3omega dt=0.03125: failed: StageEvaluationError: stage 2 at t=29.21875: angle 6.296730026463315 outside [0, 6.282185307179586) rad
+    rk3omega: fitted order 3.260
+rk4omega dt=0.25: failed: StageEvaluationError: stage 3 at t=15.25: angle 6.426278472524741 outside [0, 6.282185307179586) rad
+rk4omega dt=0.125: failed: StageEvaluationError: stage 3 at t=18.875: angle 6.398579767890803 outside [0, 6.282185307179586) rad
+rk4omega dt=0.0625: failed: StageEvaluationError: stage 3 at t=23.4375: angle 6.333111980510162 outside [0, 6.282185307179586) rad
+rk4omega dt=0.03125: failed: StageEvaluationError: stage 3 at t=29.21875: angle 6.286350497005965 outside [0, 6.282185307179586) rad
+    rk4omega: fitted order 4.222
+      theta2: fitted order 3.559
+      theta3: fitted order 3.564
+   rk4theta2: fitted order 3.559
+   twospeed4: fitted order 3.564
+"""  # noqa: E501
+
+
+def test_failing_cells_cost_no_pass_of_their_own():
+    # poly3's rate grows as t^3: over 32 s the coarse cells of three rate
+    # methods and the reference's coarse refinements take stages beyond the
+    # Jacobian's domain.  Still each method runs in one pass, and the
+    # reference in one pass per prediction of its halvings.
+    passes = {"sweep": 0, "reference": 0}
+    propagate, reference_pass = bench._propagate, trajectory._reference_pass
+
+    def sweep_pass(*a):
+        passes["sweep"] += 1
+        return propagate(*a)
+
+    def reference(*a):
+        passes["reference"] += 1
+        return reference_pass(*a)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(bench, "_propagate", sweep_pass), \
+            mock.patch.object(trajectory, "_reference_pass", reference), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["sweep", "--signal", "poly3", "--horizon", "32",
+                        "--methods", "fwdeuler,exmid,rk3omega,rk4omega,"
+                        "theta2,theta3,rk4theta2,twospeed4"])
+    assert code == 0
+    assert err.getvalue() == _POLY3_32_STDERR
+    assert passes == {"sweep": 8, "reference": 5}

@@ -154,6 +154,15 @@ class TestBortzRhs:
             diff = np.max(np.abs(bortz_rhs(phi, omega, APPROX) - direct))
             assert diff <= 1e-14
 
+    @pytest.mark.parametrize("phi, omega", [
+        (np.zeros(4), np.ones(3)), (np.zeros(3), np.ones(5)),
+        (np.zeros(2), np.ones(3)), (np.zeros(3), np.ones(2))])
+    def test_rejects_vectors_of_another_length(self, phi, omega):
+        # A longer vector once had its first three entries read.
+        for mode in (EXACT, APPROX):
+            with pytest.raises(ValueError, match="values to unpack"):
+                bortz_rhs(phi, omega, mode)
+
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(209)
         for mode in (EXACT, APPROX):

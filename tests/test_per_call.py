@@ -416,6 +416,21 @@ class TestIntegrateAttitudeStep:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("factory", TABLEAUX)
+    @pytest.mark.parametrize("shape", [(4,), (2,), (3, 1), (1, 3)])
+    def test_rejects_a_rate_that_is_not_a_3_vector(self, factory, shape):
+        # Both forms once read the first three entries of a longer rate.
+        # Now both raise alike at stage 0, whose sample is the first read.
+        errors = []
+        for step in (integrate_attitude_step, bortz_attitude_step):
+            with pytest.raises(StageEvaluationError) as info:
+                step(lambda t: np.ones(shape), 0.0, 0.1, factory(),
+                     JacobianMode.EXACT_CLOSED_FORM)
+            errors.append((str(info.value), info.value.stage,
+                           type(info.value.__cause__)))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == 0
+
+    @pytest.mark.parametrize("factory", TABLEAUX)
     @pytest.mark.parametrize("mode", list(JacobianMode))
     @given(rates=st.lists(st.tuples(*[st.sampled_from(
         [0.0, -0.0, 5e-324, -0.25, 0.5, 3.0])] * 3), min_size=7, max_size=7))

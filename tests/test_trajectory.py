@@ -415,8 +415,8 @@ class TestReferenceAttitude:
         want = reference_attitude(signal, 0.0, 16.0, 1e-12)
         [finer] = reference_pass(signal, 0.0, 16.0, [used[-2]])
         assert attitude_error_angle(want, finer) <= 1e-12
-        with pytest.raises(StageEvaluationError):
-            reference_pass(signal, 0.0, 16.0, [used[0]])
+        [coarsest] = reference_pass(signal, 0.0, 16.0, [used[0]])
+        assert isinstance(coarsest, StageEvaluationError)
         with pytest.raises(NoConvergence) as info:
             reference_attitude(signal, 0.0, 1024.0, 1e-12)
         assert isinstance(info.value.__cause__, StageEvaluationError)
@@ -431,9 +431,8 @@ class TestReferenceAttitude:
         signal = preset(name)
         n, prev = trajectory.reference_substeps(signal, 0.0, horizon), None
         while True:
-            try:
-                [curr] = trajectory._reference_pass(signal, 0.0, horizon, [n])
-            except StageEvaluationError:
+            [curr] = trajectory._reference_pass(signal, 0.0, horizon, [n])
+            if isinstance(curr, StageEvaluationError):
                 curr = None
             if (prev is not None and curr is not None
                     and attitude_error_angle(curr, prev) <= 1e-12):
