@@ -247,8 +247,7 @@ def _validation_checks(rng):
         for _ in range(1000):
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(rng.uniform(-1, 1, (q, 3)), dt)
-            nodes = dict(zip((0.0, 0.5, 1.0), rk_node_samples(window)))
-            want = rk.delta_phi_closed(rk4, nodes.__getitem__, dt)
+            want = rk.delta_phi_closed(rk4, rk_node_samples(window, rk4.c), dt)
             gap = np.abs(solve(window).delta_phi - want).max()
             worst = max(worst, gap / bound / max(1e-3, np.abs(want).max()))
     yield ("node-sample-procedure", worst <= 1.0,

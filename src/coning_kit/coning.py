@@ -14,8 +14,6 @@ run self-validation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import EmptyWindow, Frozen, _set
@@ -226,6 +224,8 @@ def appendix_increment_identity_check(p1, p2, dt: float) -> float:
     roundoff, which at small ``dt`` would otherwise swamp the ``dt^3``
     scale of the identity.
     """
+    from fractions import Fraction  # only here: import stays cheap
+
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     q1 = [Fraction(float(v)) for v in p1]

@@ -9,7 +9,8 @@ polynomial in the time since the start of the step being propagated,
 each increment gives one linear equation in the coefficient vectors ``p_i``,
 since the integral of each monomial over the increment's span is known in
 closed form.  Q consecutive increments determine a degree Q-1 model, which
-is then sampled at the three solver nodes t = 0, dt/2, dt.
+is then sampled at a tableau's own nodes ``tab.c``, the rows that
+``rk.delta_phi_closed`` reads.
 
 Window layout: the increment at ``alignment`` (default 1) covers ``[0, dt]``
 and is the step being propagated; increment j covers
@@ -92,12 +93,12 @@ class RatePolynomial(Frozen):
 
 
 @functools.cache
-def _solve(q: int, alignment: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of the integral system of a (q, alignment) window, and its
-    node map: that inverse's rates at s = t/dt = 0, 1/2, 1.  Row j of the
-    system integrates each ``s**m`` over ``[j - alignment, j - alignment +
-    1]``.  Raises ``SingularSystem`` above a condition estimate of 1e12;
-    the monomial basis degrades quickly beyond Q ~ 5."""
+def _solve(q: int, alignment: int) -> np.ndarray:
+    """Inverse of the integral system of a (q, alignment) window: row m
+    maps the increments to coefficient m times ``dt**(m + 1)``.  Row j of
+    the system integrates each ``s**m`` over ``[j - alignment, j -
+    alignment + 1]``.  Raises ``SingularSystem`` above a condition estimate
+    of 1e12; the monomial basis degrades quickly beyond Q ~ 5."""
     lo = np.arange(q, dtype=float)[:, None] - alignment
     powers = np.arange(1, q + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -107,9 +108,8 @@ def _solve(q: int, alignment: int) -> tuple[np.ndarray, np.ndarray]:
         raise SingularSystem(
             f"design matrix condition estimate {cond:.3e} exceeds 1e12")
     inv = np.linalg.inv(design)
-    nodes = (np.array([0.0, 0.5, 1.0])[:, None] ** (powers - 1.0)) @ inv
-    inv.flags.writeable = nodes.flags.writeable = False
-    return inv, nodes
+    inv.flags.writeable = False
+    return inv
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -122,7 +122,7 @@ def fit_polynomial(window: MeasurementWindow) -> RatePolynomial:
     shape and ``ValueError`` if a coefficient overflows.
     """
     q, dt = window.q, window.dt
-    coeffs = _solve(q, window.alignment)[0] @ window.increments
+    coeffs = _solve(q, window.alignment) @ window.increments
     for m in range(q):
         coeffs[m:] /= dt
     return RatePolynomial(coeffs)
@@ -137,19 +137,19 @@ def eval_rate(model: RatePolynomial, t: float) -> np.ndarray:
     return acc
 
 
-@np.errstate(over="raise")
-def rk_node_samples(window: MeasurementWindow) -> np.ndarray:
-    """The fitted model's rates ``w0, wm, w1`` at t = 0, dt/2, dt, as rows of
-    a read-only (3, 3) array: the node map applied to the increments over
-    ``dt``.  Affine model (Q = 2) at alignment 1: ``(prior + curr)/(2 dt)``,
-    ``curr/dt``, ``(3 curr - prior)/(2 dt)``.  Raises ``SingularSystem`` for
-    an ill-conditioned shape and ``ValueError`` if a sample overflows."""
-    # The window's increments are finite, so only an overflow makes a
-    # sample non-finite, and it raises here.
-    try:
-        nodes = (_solve(len(window.increments), window.alignment)[1]
-                 @ window.increments / window.dt)
-    except FloatingPointError as exc:
-        raise ValueError(f"node samples overflow, dt = {window.dt!r}") from exc
-    nodes.setflags(write=False)
-    return nodes
+@np.errstate(over="ignore", invalid="ignore")
+def rk_node_samples(window: MeasurementWindow, nodes) -> np.ndarray:
+    """The fitted model's rates at normalized times s = t/dt, one per entry
+    of ``nodes`` (for example ``tab.c``), as the rows of a read-only array.
+    Affine model (Q = 2) at alignment 1 and nodes (0, 1/2, 1): ``(prior +
+    curr)/(2 dt)``, ``curr/dt``, ``(3 curr - prior)/(2 dt)``.  Raises
+    ``SingularSystem`` for an ill-conditioned shape and ``ValueError`` if a
+    node is not finite or a sample overflows."""
+    q = window.q
+    rows = (np.asarray(nodes, dtype=float).reshape(-1, 1) ** np.arange(q)
+            @ _solve(q, window.alignment) @ window.increments / window.dt)
+    if not np.isfinite(rows).all():
+        raise ValueError("node samples overflow or a node is not finite: "
+                         f"nodes {nodes!r}, dt = {window.dt!r}")
+    rows.setflags(write=False)
+    return rows

@@ -8,10 +8,11 @@ The step routine implements the standard explicit scheme
 
 for any state dimension.  ``integrate_attitude_step`` specializes it to the
 rotation-vector ODE over one sensor interval with the zero initial condition
-(which makes the inverse Jacobian the identity at the first stage), and
-``delta_phi_closed`` is its second-order closed form for any tableau: the
-weights ``b`` and a cross-sum table on the stage rates, read by
-``so3._cross_sum`` like the ``coning`` corrections.
+(which makes the inverse Jacobian the identity at the first stage) and a
+rate ``OmegaSampler`` of absolute time.  ``delta_phi_closed`` is its
+second-order closed form for any tableau on the stage rates, such as
+``rk_node_samples(window, tab.c)``: the weights ``b`` and a cross-sum table
+read by ``so3._cross_sum`` like the ``coning`` corrections.
 
 ``integrate_attitude_step`` is the per-call path of a strapdown update: it
 runs the scheme on Python floats, with the operations and order of
@@ -234,27 +235,27 @@ def integrate_attitude_step(sampler: OmegaSampler, t_k: float, dt: float,
     return np.array([ox, oy, oz])
 
 
-def delta_phi_closed(tab: ButcherTableau, omega: OmegaSampler,
-                     dt: float) -> np.ndarray:
+def delta_phi_closed(tab: ButcherTableau, rows, dt: float) -> np.ndarray:
     """Second-order closed form of ``tab``'s rotation increment.
 
     ``dt sum_nu b_nu w_nu + (dt^2/2) sum_nu,l b_nu A[nu, l] w_l x w_nu``,
-    with ``w_nu = omega(c[nu])`` the rate at stage ``nu``'s node (in units
-    of the step); the cross term is the table ``(2, ((l, nu, b_nu A[nu, l]),
-    ...))`` that the tableau builds.  Raises ``NonFiniteIncrement``, a
-    ``ValueError``, if a sample it reads or the result is not finite.
+    with ``w_nu = rows[nu]`` the rate at stage ``nu``'s node, for example
+    ``rk_node_samples(window, tab.c)``; the cross term is the table ``(2,
+    ((l, nu, b_nu A[nu, l]), ...))`` that the tableau builds.  Raises
+    ``ValueError`` unless ``rows`` is a ``(tab.n, 3)`` array, and
+    ``NonFiniteIncrement``, a ``ValueError``, if the result is not finite.
     """
     _check_dt(dt)
-    stage_plan, weights = tab._plan
-    rows = [np.asarray(omega(c_nu), dtype=float).tolist()
-            for c_nu, _ in stage_plan]
+    w = np.asarray(rows, dtype=float)
+    if w.shape != (tab.n, 3):
+        raise ValueError(f"rows must have shape ({tab.n}, 3), got {w.shape}")
+    w = w.tolist()
     fx = fy = fz = 0.0
-    for l, b_l in weights:
-        x, y, z = rows[l]
+    for l, b_l in tab._plan[1]:
+        x, y, z = w[l]
         fx += b_l * x
         fy += b_l * y
         fz += b_l * z
-    cx, cy, cz = _cross_sum(tab._expansion, rows)
+    cx, cy, cz = _cross_sum(tab._expansion, w)
     h = dt * dt
     return _finite((dt * fx + h * cx, dt * fy + h * cy, dt * fz + h * cz))
-

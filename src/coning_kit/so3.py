@@ -125,8 +125,8 @@ def rotation_vector_from_dcm(t: np.ndarray) -> np.ndarray:
     The returned vector satisfies ``dcm_from_rotation_vector(result) == t``
     and has norm in ``[0, pi)``.  Raises ``NearPiRotation`` when the principal
     angle exceeds ``pi - NEAR_PI_MARGIN``, where axis extraction from the skew
-    part is ill-conditioned; callers in this package only measure small
-    attitude errors.  Raises ``NotNearOrthogonal``, as ``compose`` does,
+    part is ill-conditioned; ``attitude_error_angle`` gives the angle there
+    without the axis.  Raises ``NotNearOrthogonal``, as ``compose`` does,
     when an entry is NaN or infinite.
     """
     # sin(angle) * axis, from the skew part of T^T - T.
@@ -170,14 +170,20 @@ def compose(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
 def attitude_error_angle(t_est: np.ndarray, t_ref: np.ndarray) -> float:
     """Principal angle of the relative rotation between two DCMs, in rad.
 
-    Zero iff the matrices are equal; symmetric in its arguments.  Propagates
-    ``NearPiRotation`` for relative rotations near pi, and
-    ``NotNearOrthogonal`` for a NaN or infinite entry, without a warning:
-    such an entry makes a row or column of the relative rotation NaN or
-    infinite.
+    Zero iff the matrices are equal; symmetric in its arguments.  Every
+    finite rotation has an angle, in [0, pi]: below ``pi - NEAR_PI_MARGIN``
+    it is the norm of the log map, and above, where only the log map's axis
+    is ill-conditioned, the angle ``atan2(|skew part|, (trace - 1) / 2)``.
+    Propagates ``NotNearOrthogonal`` for a NaN or infinite entry, without a
+    warning: such an entry makes a row or column of the relative rotation
+    NaN or infinite.
     """
     rel = np.asarray(t_est) @ np.asarray(t_ref).T
-    rv = rotation_vector_from_dcm(rel)
+    try:
+        rv = rotation_vector_from_dcm(rel)
+    except NearPiRotation:
+        return math.atan2(float(np.linalg.norm(rel - rel.T)) / math.sqrt(8.0),
+                          0.5 * (float(np.trace(rel)) - 1.0))
     return math.sqrt(float(rv[0]) ** 2 + float(rv[1]) ** 2 + float(rv[2]) ** 2)
 
 

@@ -44,8 +44,3 @@ def random_rotation_vector(rng, max_angle: float) -> np.ndarray:
     direction /= np.linalg.norm(direction)
     return direction * rng.uniform(0.0, max_angle)
 
-
-def node_sampler(rows):
-    """The rates ``rows`` at s = 0, 1/2, 1, as ``rk_node_samples`` returns
-    them, as the sampler that ``rk.delta_phi_closed`` reads."""
-    return dict(zip((0.0, 0.5, 1.0), rows)).__getitem__

@@ -238,7 +238,7 @@ def test_criterion_7_quadratic_fit_reconstruction():
         scale = np.max(np.abs(coeffs))
         worst_fit = max(worst_fit,
                         float(np.max(np.abs(fitted - coeffs))) / scale)
-        w0, wm, w1 = rk_node_samples(window)
+        w0, wm, w1 = rk_node_samples(window, (0.0, 0.5, 1.0))
         for sample, t in ((w0, 0.0), (wm, 0.5 * dt), (w1, dt)):
             true_rate = coeffs[0] + coeffs[1] * t + coeffs[2] * t * t
             worst_node = max(worst_node,

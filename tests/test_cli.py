@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 import os
 import re
 import subprocess
@@ -248,6 +249,20 @@ class TestSweepCommand:
         assert [row.split(",")[2] for row in rows] == [
             "0.5", "0.25", "0.125", "0.0625"]
 
+    def test_cell_a_half_turn_from_the_truth_keeps_the_sweep(self, capsys):
+        # One forward-Euler step over this horizon ends within 1e-6 rad of a
+        # half-turn from the cone's attitude, where the log map gives no
+        # axis; the cell keeps its record, and the others theirs.
+        span = "6.317249567751999"
+        assert run_cli(["sweep", "--signal", "coning", "--methods",
+                        "fwdeuler,theta2,rk4omega", "--dts", span,
+                        "--horizon", span]) == 0
+        rows = [row.split(",") for row
+                in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["fwdeuler", "theta2", "rk4omega"]
+        assert math.pi - 1e-6 < float(rows[0][4]) <= math.pi
+        assert float(rows[1][4]) < 0.1
+
     def test_stdout_output(self, capsys):
         assert run_cli(["sweep", "--signal", "poly3", "--methods", "exmid",
                         "--dts", "0.25", "--horizon", "0.5"]) == 0
@@ -308,6 +323,17 @@ def test_python_dash_m(flags, code):
             "method,jacobian_mode,dt,steps,final_error_rad,wall_time_s\n")
     else:
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
+
+
+def test_cli_import_leaves_fractions_unloaded():
+    # Only coning.appendix_increment_identity_check uses fractions, and
+    # imports it itself, so a cold sweep does not pay for it.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coning_kit.cli; print(sorted("
+         "{'coning_kit.cli', 'fractions'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert proc.stdout == "['coning_kit.cli']\n"
 
 
 _PLAIN_METHODS = tuple(kind.value for kind in MethodKind

@@ -12,13 +12,12 @@ from coning_kit.coning import (affine_coning_oracle,
                                two_speed_classic)
 from coning_kit.errors import EmptyWindow, NonFiniteIncrement
 from coning_kit.rate_model import MeasurementWindow, rk_node_samples
-from coning_kit.rk import delta_phi_closed, tableau_rk4
-from coning_kit.so3 import rotation_vector_from_dcm
-from coning_kit.trajectory import (PolynomialRate, reference_attitude,
-                                   synth_delta_theta)
+from coning_kit.rk import delta_phi_closed, tableau_rk4, tableau_rk6
+from coning_kit.so3 import (attitude_error_angle, compose,
+                            dcm_from_rotation_vector, rotation_vector_from_dcm)
+from coning_kit.trajectory import (PolynomialRate, exact_attitude, preset,
+                                   reference_attitude, synth_delta_theta)
 from coning_kit.rate_model import RatePolynomial
-
-from conftest import node_sampler
 
 
 def affine_increments(p1, p2, dt, spans):
@@ -102,13 +101,12 @@ class TestRk4Theta2:
                 assert np.max(np.abs(a - b)) <= 1e-15 * scale
 
     def test_matches_literal_node_composition(self):
-        rng = np.random.default_rng(505)
+        rng, rk4 = np.random.default_rng(505), tableau_rk4()
         for _ in range(500):
             prev, curr = rng.uniform(-1.0, 1.0, (2, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(np.stack([prev, curr]), dt)
-            literal = delta_phi_closed(
-                tableau_rk4(), node_sampler(rk_node_samples(window)), dt)
+            literal = delta_phi_closed(rk4, rk_node_samples(window, rk4.c), dt)
             got = rk4_theta2(window).delta_phi
             scale = max(1e-3, np.max(np.abs(literal)))
             assert np.max(np.abs(got - literal)) <= 2e-15 * scale
@@ -153,13 +151,12 @@ class TestRk4Theta3:
                            rtol=0, atol=1e-19)
 
     def test_matches_node_sample_composition(self):
-        rng = np.random.default_rng(506)
+        rng, rk4 = np.random.default_rng(506), tableau_rk4()
         for _ in range(1000):
             inc = rng.uniform(-1.0, 1.0, (3, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(inc, dt)
-            literal = delta_phi_closed(
-                tableau_rk4(), node_sampler(rk_node_samples(window)), dt)
+            literal = delta_phi_closed(rk4, rk_node_samples(window, rk4.c), dt)
             got = rk4_theta3(window).delta_phi
             scale = max(1e-3, np.max(np.abs(literal)))
             assert np.max(np.abs(got - literal)) <= 1e-13 * scale
@@ -203,6 +200,37 @@ class TestRk4Theta3:
             err2 = np.max(np.abs(
                 miller_single_speed(incs[0], incs[1]).delta_phi - truth))
             assert err3 <= err2 + 1e-15
+
+
+class TestRk6OnFourIncrements:
+    """The abstract's "procedure for generating higher-order algorithms"
+    through the public API: rk6 at its own nodes on a Q = 4 window is sixth
+    order on the preset cone (alpha = 0.05), where Miller and the rk4 tables
+    are fourth.  Below about dt = 1/128 a term the second-order expansion
+    leaves out takes over, so the range stops there."""
+
+    @staticmethod
+    def final_error(alignment, dt, horizon=4.0):
+        signal, rk6 = preset("coning"), tableau_rk6()
+        n = round(horizon / dt)
+        inc = np.array([synth_delta_theta(signal, (j - alignment) * dt,
+                                          (j - alignment + 1) * dt)
+                        for j in range(n + 3)])
+        t = np.eye(3)
+        for k in range(n):
+            window = MeasurementWindow(inc[k:k + 4], dt, alignment)
+            delta_phi = delta_phi_closed(
+                rk6, rk_node_samples(window, rk6.c), dt)
+            t = compose(dcm_from_rotation_vector(delta_phi), t)
+        truth = (exact_attitude(signal, horizon)
+                 @ exact_attitude(signal, 0.0).T)
+        return attitude_error_angle(t, truth)
+
+    @pytest.mark.parametrize("alignment", [2, 3])
+    def test_local_slopes_are_sixth_order(self, alignment):
+        errors = [self.final_error(alignment, 2.0 ** -k) for k in (4, 5, 6, 7)]
+        slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert min(slopes) >= 5.7, slopes
 
 
 class TestTwoSpeedClassic:

@@ -15,10 +15,11 @@ weights on the increments and a correction
 ``beta = sum_{i<j} K_ij theta_i x theta_j``.  Everything below runs on
 ``fractions.Fraction``: the tableaux are read back to the rationals their
 floats round, so a typed constant is checked against the procedure and not
-against another typed constant.  ``rate_model.rk_node_samples`` and
-``rk.delta_phi_closed`` compute the two steps in floats for any window
-shape and any tableau; they are held to the exact answer within a few
-rounding errors.
+against another typed constant.  In floats the procedure is
+``rk.delta_phi_closed(tab, rate_model.rk_node_samples(window, tab.c), dt)``:
+the node rows of any window shape at any tableau's own nodes, then the
+tableau's expansion on those rows.  Both steps are held to the exact answer
+within a few rounding errors.
 """
 
 import math
@@ -146,7 +147,7 @@ class TestNodeMaps:
     def test_affine_node_samples_of_unit_increments(self):
         n = node_map(2)
         got = rk_node_samples(MeasurementWindow(
-            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1.0))
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1.0), NODES)
         for sample, s in zip(got, NODES):
             assert sample.tolist() == [float(v) for v in n(s)] + [0.0]
 
@@ -162,7 +163,7 @@ class TestNodeMaps:
                                            dt, alignment)
                 theta = [[Fraction(v) for v in row]
                          for row in window.increments.tolist()]
-                got = rk_node_samples(window)
+                got = rk_node_samples(window, NODES)
                 model = fit_polynomial(window)
                 scale = np.abs(window.increments).max() / dt
                 for sample, s in zip(got, NODES):
@@ -188,11 +189,11 @@ class TestClosedForms:
         weights, k = derive(factory, basis)
         tab = factory()
         rng = np.random.default_rng(31)
+        stage_node = np.searchsorted(np.array(nodes, dtype=float), tab.c)
         for _ in range(20):
             u = rng.uniform(-1.0, 1.0, (len(nodes), 3))
-            rates = {float(c): row for c, row in zip(nodes, u)}
             for dt in (0.5, 1.0, 2.0):
-                got = delta_phi_closed(tab, rates.__getitem__, dt)
+                got = delta_phi_closed(tab, u[stage_node], dt)
                 first = sum(float(w) * row for w, row in zip(weights, u))
                 cross = sum(float(v) * np.cross(u[i], u[j])
                             for (i, j), v in k.items())
@@ -200,6 +201,25 @@ class TestClosedForms:
                 scale = (dt * sum(abs(float(w)) for w in weights)
                          + dt * dt * sum(abs(float(v)) for v in k.values()))
                 assert np.abs(got - want).max() <= 8.0 * EPS * scale
+
+
+class TestProcedureAtTheTableausNodes:
+    @pytest.mark.parametrize("alignment", [2, 3])
+    def test_rk6_on_four_increments_gives_the_derived_table(self, alignment):
+        # rk6's nodes 1/3 and 2/3 are fed from the window like 0, 1/2, 1.
+        weights, k = derive(tableau_rk6, node_map(4, alignment))
+        assert weights == tuple(int(i == alignment) for i in range(4))
+        tab = tableau_rk6()
+        rng = np.random.default_rng(415 + alignment)
+        for _ in range(200):
+            theta = rng.uniform(-1.0, 1.0, (4, 3)) * 10.0 ** rng.uniform(-4, 0)
+            dt = 10.0 ** rng.uniform(-3, 0)
+            window = MeasurementWindow(theta, dt, alignment)
+            got = delta_phi_closed(tab, rk_node_samples(window, tab.c), dt)
+            want = theta[alignment] + sum(
+                float(v) * np.cross(theta[i], theta[j])
+                for (i, j), v in k.items())
+            assert np.abs(got - want).max() <= 8.0 * EPS * np.abs(theta).max()
 
 
 class TestJacobianSeries:

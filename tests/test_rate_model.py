@@ -67,8 +67,8 @@ class TestWindow:
 
     def test_accepts_numpy_integer_alignment(self):
         inc = np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]])
-        a = rk_node_samples(MeasurementWindow(inc, 0.1, np.int64(0)))
-        b = rk_node_samples(MeasurementWindow(inc, 0.1, 0))
+        a = rk_node_samples(MeasurementWindow(inc, 0.1, np.int64(0)), NODES)
+        b = rk_node_samples(MeasurementWindow(inc, 0.1, 0), NODES)
         assert np.array_equal(a[2], b[2])
 
     def test_rejects_nonfinite(self):
@@ -259,13 +259,19 @@ class TestOverflow:
         window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
                                    1e-310)
         with pytest.raises(ValueError, match="overflow"):
-            rk_node_samples(window)
+            rk_node_samples(window, NODES)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_node_samples_finite_when_representable(self, q):
         window = MeasurementWindow(np.arange(1.0, 3 * q + 1).reshape(q, 3),
                                    1e-200)
-        assert np.isfinite(rk_node_samples(window)).all()
+        assert np.isfinite(rk_node_samples(window, NODES)).all()
+
+    @pytest.mark.parametrize("node", [np.nan, np.inf, -np.inf])
+    def test_node_samples_refuse_a_non_finite_node(self, node):
+        window = MeasurementWindow(np.arange(1.0, 7.0).reshape(2, 3), 0.1)
+        with pytest.raises(ValueError, match="node is not finite"):
+            rk_node_samples(window, (0.0, node, 1.0))
 
     def test_zero_window_fits_at_tiny_dt(self):
         model = fit_polynomial(MeasurementWindow(np.zeros((3, 3)), 1e-200))
@@ -301,9 +307,10 @@ def test_node_samples_are_the_node_map_product(q):
         for dt in (1e-3, 0.1, 1.0):
             window = MeasurementWindow(rng.uniform(-1.0, 1.0, (q, 3)), dt,
                                        alignment)
-            nodes = rk_node_samples(window)
+            nodes = rk_node_samples(window, NODES)
             assert nodes.shape == (3, 3) and not nodes.flags.writeable
-            want = _solve(q, alignment)[1] @ window.increments / dt
+            want = (np.array(NODES, dtype=float)[:, None] ** np.arange(q)
+                    @ _solve(q, alignment) @ window.increments / dt)
             w0, wm, w1 = nodes
             for got, row in zip((w0, wm, w1), want):
                 assert got.tobytes() == row.tobytes()
@@ -313,7 +320,7 @@ class TestNodeSamplesAffine:
     def test_hand_worked_example(self):
         window = MeasurementWindow(
             np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1.0)
-        w0, wm, w1 = rk_node_samples(window)
+        w0, wm, w1 = rk_node_samples(window, NODES)
         assert np.array_equal(w0, [1.0, 0.0, 0.0])
         assert np.array_equal(wm, [2.0, 0.0, 0.0])
         assert np.array_equal(w1, [3.0, 0.0, 0.0])
@@ -321,7 +328,7 @@ class TestNodeSamplesAffine:
     def test_equal_increments_give_constant_rate(self):
         inc = np.array([0.3, -0.2, 0.1])
         window = MeasurementWindow(np.stack([inc, inc]), 0.25)
-        for node in rk_node_samples(window):
+        for node in rk_node_samples(window, NODES):
             assert np.allclose(node, inc / 0.25, rtol=1e-15, atol=0)
 
     def test_matches_model_evaluation(self):
@@ -329,7 +336,7 @@ class TestNodeSamplesAffine:
         for _ in range(200):
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(rng.uniform(-1.0, 1.0, (2, 3)), dt)
-            nodes = rk_node_samples(window)
+            nodes = rk_node_samples(window, NODES)
             model = fit_polynomial(window)
             for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 expected = eval_rate(model, t)
@@ -339,7 +346,7 @@ class TestNodeSamplesAffine:
     def test_other_alignment_gives_the_derivation(self):
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2]]), 0.1, alignment=0)
-        assert_derived(rk_node_samples(window), window)
+        assert_derived(rk_node_samples(window, NODES), window)
 
 
 class TestNodeSamplesQuadratic:
@@ -348,13 +355,13 @@ class TestNodeSamplesQuadratic:
         window = MeasurementWindow(
             np.array([[0.1, 0.2, 0.3], [0.4, 0.1, -0.2], [-0.3, 0.2, 0.5]]),
             0.1, alignment=alignment)
-        assert_derived(rk_node_samples(window), window)
+        assert_derived(rk_node_samples(window, NODES), window)
 
     def test_equal_increments_give_constant_rate(self):
         # rows of the node map each sum to 24
         inc = np.array([0.5, 0.1, -0.4])
         window = MeasurementWindow(np.stack([inc, inc, inc]), 0.5)
-        for node in rk_node_samples(window):
+        for node in rk_node_samples(window, NODES):
             assert np.allclose(node, inc / 0.5, rtol=1e-15, atol=1e-16)
 
     def test_affine_data_matches_affine_nodes(self):
@@ -364,7 +371,8 @@ class TestNodeSamplesQuadratic:
             dt = 0.1
             w3 = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
             w2 = MeasurementWindow(poly_increments(coeffs, dt, 2), dt)
-            for a, b in zip(rk_node_samples(w3), rk_node_samples(w2)):
+            for a, b in zip(rk_node_samples(w3, NODES),
+                            rk_node_samples(w2, NODES)):
                 assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_recovers_true_rate_at_nodes(self):
@@ -373,7 +381,7 @@ class TestNodeSamplesQuadratic:
             coeffs = rng.uniform(-1.0, 1.0, (3, 3))
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(poly_increments(coeffs, dt, 3), dt)
-            nodes = rk_node_samples(window)
+            nodes = rk_node_samples(window, NODES)
             model = RatePolynomial(coeffs)
             for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 assert np.max(np.abs(node - eval_rate(model, t))) <= 1e-12
@@ -383,7 +391,7 @@ class TestNodeSamplesQuadratic:
         for _ in range(200):
             dt = 10.0 ** rng.uniform(-2, 0)
             window = MeasurementWindow(rng.uniform(-1.0, 1.0, (3, 3)), dt)
-            nodes = rk_node_samples(window)
+            nodes = rk_node_samples(window, NODES)
             model = fit_polynomial(window)
             for node, t in zip(nodes, (0.0, 0.5 * dt, dt)):
                 expected = eval_rate(model, t)
@@ -399,9 +407,9 @@ def test_fit_and_nodes_are_linear_in_window(seed):
     w1 = rng.uniform(-1.0, 1.0, (3, 3))
     w2 = rng.uniform(-1.0, 1.0, (3, 3))
     a, b = rng.uniform(-2.0, 2.0, 2)
-    mixed = rk_node_samples(MeasurementWindow(a * w1 + b * w2, dt))
-    n1 = rk_node_samples(MeasurementWindow(w1, dt))
-    n2 = rk_node_samples(MeasurementWindow(w2, dt))
+    mixed = rk_node_samples(MeasurementWindow(a * w1 + b * w2, dt), NODES)
+    n1 = rk_node_samples(MeasurementWindow(w1, dt), NODES)
+    n2 = rk_node_samples(MeasurementWindow(w2, dt), NODES)
     for got, x, y in zip(mixed, n1, n2):
         want = a * x + b * y
         scale = max(1.0, np.max(np.abs(want)))

@@ -12,8 +12,6 @@ from coning_kit.rk import (ButcherTableau, delta_phi_closed,
                            tableau_rk3, tableau_rk4, tableau_rk6,
                            validate_tableau)
 
-from conftest import node_sampler
-
 EPS = np.finfo(float).eps
 
 ALL_TABLEAUX = [tableau_forward_euler, tableau_explicit_midpoint,
@@ -227,9 +225,11 @@ def quadratic_sampler(coeffs):
 
 
 def closed_on_nodes(factory, w0, wm, w1, dt):
-    """``delta_phi_closed`` of ``factory``'s tableau on the rates at t = 0,
-    dt/2, dt."""
-    return delta_phi_closed(factory(), node_sampler((w0, wm, w1)), dt)
+    """``delta_phi_closed`` of ``factory``'s tableau, each stage reading its
+    node's rate of ``w0, wm, w1`` at t = 0, dt/2, dt."""
+    tab = factory()
+    rows = np.array([w0, wm, w1])[(2.0 * tab.c).astype(int)]
+    return delta_phi_closed(tab, rows, dt)
 
 
 class TestClosedForms:
@@ -280,7 +280,8 @@ class TestClosedForms:
             gaps = []
             dts = [1e-1, 1e-2, 1e-3]
             for dt in dts:
-                closed = delta_phi_closed(tab, lambda c: sampler(c * dt), dt)
+                closed = delta_phi_closed(
+                    tab, [sampler(c * dt) for c in tab.c], dt)
                 engine = integrate_attitude_step(
                     sampler, 0.0, dt, tab, JacobianMode.THIRD_ORDER_APPROX)
                 gaps.append(np.max(np.abs(closed - engine)))
@@ -295,7 +296,8 @@ class TestClosedForms:
             dt = 10.0 ** rng.uniform(-3.0, 0.0)
             engine = integrate_attitude_step(
                 sampler, 0.0, dt, tab, JacobianMode.THIRD_ORDER_APPROX)
-            closed = delta_phi_closed(tab, lambda c: sampler(c * dt), dt)
+            closed = delta_phi_closed(
+                tab, [sampler(c * dt) for c in tab.c], dt)
             assert np.array_equal(closed, engine)
 
     def test_rejects_nonpositive_dt(self):
@@ -319,11 +321,14 @@ class TestClosedForms:
         # tableau reads every stage's sample.
         tab = factory()
         for c_bad in set(tab.c.tolist()):
-            def omega(c, c_bad=c_bad):
-                return np.array([bad if c == c_bad else 0.5, 0.1, -0.2])
-
+            rows = [[bad if c == c_bad else 0.5, 0.1, -0.2] for c in tab.c]
             with pytest.raises(ValueError, match="not finite"):
-                delta_phi_closed(tab, omega, 0.1)
+                delta_phi_closed(tab, rows, 0.1)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (12,), (1, 4, 3)])
+    def test_rejects_rows_not_one_per_stage(self, shape):
+        with pytest.raises(ValueError, match=r"shape \(4, 3\)"):
+            delta_phi_closed(tableau_rk4(), np.ones(shape), 0.1)
 
     def test_rejects_an_overflow(self):
         w = np.full(3, 1e300)

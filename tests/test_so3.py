@@ -193,6 +193,23 @@ class TestAttitudeErrorAngle:
             assert abs(attitude_error_angle(t_est, t_ref) - oracle) <= 1e-12
 
 
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 0.1), st.floats(-1e-6, 1e-6),
+        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    def test_angle_within_the_margin_of_a_half_turn(self, axis, gap, ref):
+        # The log map refuses these relative rotations, whose axis it cannot
+        # resolve; their angle is still pi - |gap|, to rounding.
+        axis = np.array(axis) / np.linalg.norm(axis)
+        t_ref = dcm_from_rotation_vector(ref)
+        t_est = compose(dcm_from_rotation_vector((math.pi - gap) * axis),
+                        t_ref)
+        angle = attitude_error_angle(t_est, t_ref)
+        assert 0.0 <= angle <= math.pi
+        assert abs(angle - (math.pi - abs(gap))) <= 1e-14
+        assert attitude_error_angle(t_ref, t_est) == pytest.approx(
+            angle, abs=1e-14)
+
+
 class TestOrthonormalize:
     def test_orthogonal_input_unchanged(self):
         t = dcm_from_rotation_vector([0.5, -0.2, 0.9])
