@@ -4,9 +4,9 @@ Every propagation step starts from a zero rotation vector, so the per-step
 rotation vectors are independent of one another, within one step size (a
 *cell*) and across cells.  ``compose_steps`` propagates any number of cells
 in one *pass*: it cuts each cell into *segments* ``(cell, k0, k1)`` of at
-most a block of steps, packs consecutive segments, of one cell or of
-several, into calls of at most a block of rows, and asks a *producer* for
-each call's ``(n, 3)`` rotation vectors:
+most ``BLOCK`` sensor intervals, packs consecutive segments, of one cell or
+of several, into calls of at most ``BLOCK`` steps, and asks a *producer*
+for each call's ``(n, 3)`` rotation vectors:
 
 - ``rate_steps`` runs the Runge-Kutta stages of the rotation-vector ODE on
   the signal's rate (``rk.integrate_attitude_step``), with each row's step
@@ -17,13 +17,14 @@ each call's ``(n, 3)`` rotation vectors:
 - ``cross_sum_steps`` (with a ``coning`` table), ``rk4_theta2_steps`` and
   ``two_speed_steps`` read each cell's increments from its
   ``IncrementGrid``; ``increment_grids`` synthesizes each sensor interval
-  of the grids a pass lacks once, in one packed run.
+  of the grids a pass lacks once, each grid with its width as one number.
 
 ``chain_products`` multiplies each segment of a call's DCMs in one pairwise
-tree, and ``so3.compose`` folds each product onto its cell: the one
-sequential step, and the drift control, once per segment.  Every kernel
-works row by row and a cell's segments do not depend on the rest of its
-pass, so a cell's attitude is bitwise the same alone or in any pass.
+tree.  A cell starts at its first segment's product, and ``so3.compose``
+folds each later one onto it: the one sequential step.  The drift rule
+runs once per segment.  Every kernel works row by row and a cell's segments
+do not depend on the rest of its pass, so a cell's attitude is bitwise the
+same alone or in any pass.
 
 Each array function shares the kernel of the per-call function it replaces
 (``coning``, ``so3._cross_sum`` and ``_dcm_entries``,
@@ -45,12 +46,14 @@ from .errors import (AngleOutOfDomain, ConingKitError, NonFiniteIncrement,
                      StageEvaluationError)
 from .kinematics import (MAX_ANGLE, JacobianMode, _apply_jacobian,
                          _coefficient_series, _coefficient_trig)
-from .so3 import SMALL_ANGLE, _cross_sum, _dcm_entries, compose
+from .so3 import (SMALL_ANGLE, _cross_sum, _dcm_entries, _drift_rule,
+                  compose)
 from .trajectory import _increment_xyz, _rate_xyz
 
-#: Rows per producer call and steps per segment; for the two-speed method,
-#: sensor intervals.  Bounds the engine's working set whatever the step
-#: count.
+#: Steps per producer call, and sensor intervals per segment: a two-speed
+#: segment of m minor steps holds ``BLOCK // m`` steps.  Bounds the engine's
+#: working set whatever the step count; a two-speed call reads up to m
+#: ``BLOCK`` intervals of grids that are resident in full.
 BLOCK = 2048
 
 
@@ -69,10 +72,10 @@ def omega_many(signal, t: np.ndarray) -> np.ndarray:
     return _rows(_rate_xyz(signal, t, np), t.size)
 
 
-def synth_many(signal, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """``trajectory.synth_delta_theta`` over every ``[t0[i], t1[i]]``; the
-    caller guarantees ``t1 > t0``."""
-    return _rows(_increment_xyz(signal, t0, t1, np), t0.size)
+def synth_many(signal, t0: np.ndarray, h) -> np.ndarray:
+    """``trajectory.synth_delta_theta`` over every ``[t0[i], t0[i] + h]``,
+    ``h`` one positive width or one per row."""
+    return _rows(_increment_xyz(signal, t0, h, np), t0.size)
 
 
 # ----------------------------------------------------- rate-sample steps
@@ -218,18 +221,17 @@ class IncrementGrid:
 
 
 def increment_grids(signal, keys) -> list:
-    """The ``IncrementGrid`` of each ``(h, n)`` of ``keys``, synthesized
-    together: one run of ``synth_many`` over all their intervals, in chunks
-    of at most ``BLOCK + 2``, so no temporary grows with the grids.
+    """The ``IncrementGrid`` of each ``(h, n)`` of ``keys``: ``synth_many``
+    of the grid's starts ``k h`` with its width as one number, in chunks of
+    at most ``BLOCK + 2`` rows, so no temporary grows with the grid.
     Synthesis is row-wise, so the chunks change no bits."""
-    k = [np.arange(-1, n + 1, dtype=float) for _, n in keys]
-    t0 = np.concatenate([p * h for p, (h, _) in zip(k, keys)])
-    t1 = np.concatenate([(p + 1.0) * h for p, (h, _) in zip(k, keys)])
-    step = BLOCK + 2
-    values = np.hstack([synth_many(signal, t0[i:i + step], t1[i:i + step]).T
-                        for i in range(0, t0.size, step)]).T
-    parts = np.split(values, np.cumsum([p.size for p in k[:-1]]))
-    return [IncrementGrid(h, v) for (h, _), v in zip(keys, parts)]
+    grids, step = [], BLOCK + 2
+    for h, n in keys:
+        t0 = np.arange(-1, n + 1, dtype=float) * h
+        grids.append(IncrementGrid(h, np.hstack([
+            synth_many(signal, t0[i:i + step], h).T
+            for i in range(0, t0.size, step)]).T))
+    return grids
 
 
 def _spans(grids, segments, shift: int, minor: int = 1) -> np.ndarray:
@@ -328,25 +330,30 @@ def chain_products(mats: np.ndarray, lengths) -> list:
     return products
 
 
-def compose_steps(produce, steps, block: int = BLOCK) -> list:
+def compose_steps(produce, steps, block: int | None = None) -> list:
     """Outcome of each cell's steps from the identity, cell c having
     ``steps[c]``: its attitude, or the ``ConingKitError`` a pass of the cell
-    alone raises.  ``produce(segments)`` returns the rotation vectors of a
-    call's segments, one after the other; each segment's product is folded
-    onto its cell with ``so3.compose``, right to left.  A call that raises
-    runs again segment by segment; a cell's first error skips the rest."""
-    calls, rows = [], block
+    alone raises.  Cells are cut into segments of ``block`` steps (default
+    ``BLOCK``), packed into calls of at most ``BLOCK`` steps;
+    ``produce(segments)`` returns the rotation vectors of a call's segments,
+    one after the other.  A cell starts at its first segment's product,
+    under ``compose``'s drift rule, and folds each later one on with
+    ``so3.compose``, right to left.  A call that raises runs again segment
+    by segment; a cell's first error skips the rest."""
+    block = block or BLOCK
+    calls, rows = [], BLOCK
     for c, n in enumerate(steps):
         for k0 in range(0, n, block):
             k1 = min(k0 + block, n)
-            if rows + k1 - k0 > block:
+            if rows + k1 - k0 > BLOCK:
                 calls.append([])
                 rows = 0
             calls[-1].append((c, k0, k1))
             rows += k1 - k0
-    outcomes = [np.eye(3) for _ in steps]
+    outcomes = [None if n else np.eye(3) for n in steps]
     for call in calls:
-        call = [s for s in call if isinstance(outcomes[s[0]], np.ndarray)]
+        call = [s for s in call
+                if not isinstance(outcomes[s[0]], ConingKitError)]
         try:
             runs = [(call, produce(call))] if call else []
         except ConingKitError:
@@ -361,7 +368,8 @@ def compose_steps(produce, steps, block: int = BLOCK) -> list:
                                       [k1 - k0 for _, k0, k1 in run])
             for (c, _, _), product in zip(run, products):
                 try:
-                    outcomes[c] = compose(product, outcomes[c])
+                    outcomes[c] = (_drift_rule(product) if outcomes[c] is None
+                                   else compose(product, outcomes[c]))
                 except ConingKitError as exc:
                     outcomes[c] = exc
     return outcomes

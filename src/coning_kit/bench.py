@@ -11,20 +11,22 @@ coning corrections.
 Propagation runs on the array engine of ``_batch``.  Every step starts from
 a zero rotation vector, so the steps of all of a method's cells are
 independent: a sweep runs each method in one pass over all its step sizes,
-cut into segments of ``_batch.BLOCK`` steps (``BLOCK // m`` for m minor
-steps), and ``so3.compose`` applies its drift rule once per segment as it
-folds the segment's product onto its cell.  ``propagate`` is a pass of one
-cell, bitwise equal to the same cell of a sweep.  Like a strapdown
-computer, a sweep synthesizes each sensor interval once: the increment
-methods share one grid of increments per interval width, and a two-speed
-cell of m minor steps reads minor interval j of step k as the grid's
-interval ``k m + j`` of width h = dt / m, whose endpoints are at most one
-rounding from ``k dt + j h``.  It samples each rate node time once too:
-the rate methods run the same calls, and share the rate at each stage
-node ``c`` of a call (``_batch.RateSamples``) until the last rate method
-that reads that node.  A recorded error may differ from a
-step-by-step loop over the per-call functions in its last digits; the
-tests hold the default sweeps to 1e-6 relative, or 1e-12 absolute.
+cut into segments of ``_batch.BLOCK`` sensor intervals (``BLOCK // m``
+steps for m minor steps) and packed into producer calls of up to ``BLOCK``
+steps.  A cell starts at its first segment's product and ``so3.compose``
+folds each later one on, so the drift rule runs once per segment.
+``propagate`` is a pass of one cell, bitwise equal to the same cell of a
+sweep.  Like a strapdown computer, a sweep synthesizes each sensor
+interval once: the increment methods share one grid of increments per
+interval width h, and a two-speed cell of m minor steps reads minor
+interval j of step k as the grid's interval ``k m + j``, which starts at
+``(k m + j) h``, at most one rounding from ``k dt + j h``, and has width
+h = dt / m.  It samples each rate node time once too: the rate methods run
+the same calls, and share the rate at each stage node ``c`` of a call
+(``_batch.RateSamples``) until the last rate method that reads that node.
+A recorded error may differ from a step-by-step loop over the per-call
+functions in its last digits; the tests hold the default sweeps to 1e-6
+relative, or 1e-12 absolute.
 
 The report is method-major and dt-descending; repeated runs give bitwise
 identical records (wall times excepted).  A cell whose pass gives it a
@@ -211,8 +213,8 @@ def propagate(method: MethodId, signal: AnalyticAttitudeSignal, dt: float,
 def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
     """Raise ``ConfigError`` if ``n`` steps of ``dt`` take more than
     ``MAX_CELL_STEPS`` sensor intervals, or if the increment over the first
-    or last interval of the cell's grid, whose span covers the times any
-    cell reads, is not finite on floats."""
+    or last interval ``(k h, h)`` of the cell's grid, whose span covers the
+    times any cell reads, is not finite on floats."""
     minor = method.minor_steps or 1
     if n * minor > MAX_CELL_STEPS:
         raise ConfigError(
@@ -222,7 +224,7 @@ def _check_cell(method: MethodId, signal, dt: float, n: int) -> None:
     try:
         # Python floats overflow to inf without a warning.
         finite = all(abs(x) < math.inf for k in (-1.0, float(n * minor))
-                     for x in _increment_xyz(signal, k * h, (k + 1.0) * h))
+                     for x in _increment_xyz(signal, k * h, h))
     except ValueError:  # math.sin of an infinite phase
         finite = False
     if not finite:

@@ -37,8 +37,8 @@ NEAR_PI_MARGIN = 1e-6
 SMALL_ANGLE = 1e-4
 
 #: Orthogonality defect above which ``compose`` projects its product onto
-#: SO(3): the package's only drift rule, applied by the engine once per
-#: segment of at most ``_batch.BLOCK`` steps.
+#: SO(3): the package's only drift rule (``_drift_rule``), which the engine
+#: applies once per segment of at most ``_batch.BLOCK`` sensor intervals.
 DRIFT_TOL = 1e-12
 
 
@@ -160,10 +160,13 @@ def compose(t2: np.ndarray, t1: np.ndarray) -> np.ndarray:
     therefore passed to ``orthonormalize``, which raises
     ``NotNearOrthogonal``.
     """
-    t = np.asarray(t2) @ np.asarray(t1)
-    if not orthogonality_defect(t) <= DRIFT_TOL:
-        t = orthonormalize(t)
-    return t
+    return _drift_rule(np.asarray(t2) @ np.asarray(t1))
+
+
+def _drift_rule(t: np.ndarray) -> np.ndarray:
+    """``t`` if its orthogonality defect is at most ``DRIFT_TOL``, else
+    ``orthonormalize(t)``: ``compose``'s drift rule on a formed product."""
+    return t if orthogonality_defect(t) <= DRIFT_TOL else orthonormalize(t)
 
 
 @np.errstate(invalid="ignore")

@@ -196,16 +196,16 @@ def _rate_xyz(signal: AnalyticAttitudeSignal, t, lib=math):
     raise TypeError(f"unknown signal type {type(signal).__name__}")
 
 
-def _increment_xyz(signal: AnalyticAttitudeSignal, t0, t1, lib=math):
-    """Components of ``synth_delta_theta(signal, t0, t1)``: floats, or
-    columns for 1-d endpoints with ``lib=np``.
+def _increment_xyz(signal: AnalyticAttitudeSignal, t0, h, lib=math):
+    """Components of ``synth_delta_theta(signal, t0, t1)`` at the width
+    ``h = t1 - t0`` itself: floats, or columns for a 1-d ``t0`` with
+    ``lib=np``, where one float ``h`` for a grid evaluates ``sin(f h/2)`` once.
 
-    Over ``h = t1 - t0`` about the midpoint ``m``, a sine of frequency ``f``
+    Over the width ``h`` about the midpoint ``m``, a sine of frequency ``f``
     and phase ``p`` integrates to ``(2/f) sin(f h/2) sin(f m + p)``: a
     product, so no difference of antiderivatives cancels.  The polynomial
     rate takes one panel of 5-point Gauss-Legendre, exact for its degree.
     """
-    h = t1 - t0
     half = 0.5 * h
     mid = t0 + half
     if isinstance(signal, FourierRate):
@@ -281,7 +281,7 @@ def synth_delta_theta(signal: AnalyticAttitudeSignal, t0: float,
     ``t1 - t0`` is finite.
     """
     _check_interval(t0, t1)
-    return np.array(_increment_xyz(signal, t0, t1))
+    return np.array(_increment_xyz(signal, t0, t1 - t0))
 
 
 def _reference_pass(signal, t0: float, t1: float, levels: list) -> list:

@@ -159,7 +159,7 @@ class TestSignals:
         t1 = t0 + 10.0 ** rng.uniform(-3.0, 0.3, 8)
         want = np.array([synth_delta_theta(signal, a, b)
                          for a, b in zip(t0, t1)])
-        got = _batch.synth_many(signal, t0, t1)
+        got = _batch.synth_many(signal, t0, t1 - t0)
         for g, w in zip(got, want):
             if kind == "poly":
                 assert np.array_equal(g, w)
@@ -185,7 +185,7 @@ class TestBatching:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_batch, "BLOCK", block)
                 results.append(
-                    [_batch.synth_many(signal, t0, t1)]
+                    [_batch.synth_many(signal, t0, t1 - t0)]
                     + [rate_steps(signal, 0.5, [dt], factory(), mode,
                                   [(0, 3, 3 + n)])
                        for factory in TABLEAUX for mode in JacobianMode])
@@ -225,21 +225,46 @@ class TestBatching:
         # theta2, rk4theta2 and theta3 at dt read the intervals of width dt,
         # twospeed4 at dt those of width dt / 4, which theta2 reads at
         # dt / 4 when that step size is in the sweep.  The grids hold 8194
-        # intervals; synthesized per cell they were 14260.  A pass that
-        # lacks grids synthesizes them in one packed run: 2046 intervals
-        # for theta2, then 6148 in three calls for twospeed4, where one run
-        # per grid took ten calls.
+        # intervals; synthesized per cell they were 14260.  Each grid is
+        # synthesized with its width as one float, in calls of at most
+        # BLOCK + 2 rows: theta2's seven grids of 16 .. 1024 intervals, then
+        # twospeed4's grids of 2048 and 4096.
         intervals = []
         synth_many = _batch.synth_many
 
-        def counted(sig, t0, t1):
+        def counted(sig, t0, h):
+            assert isinstance(h, float)
             intervals.append(t0.size)
-            return synth_many(sig, t0, t1)
+            return synth_many(sig, t0, h)
 
         monkeypatch.setattr(_batch, "synth_many", counted)
         run_sweep(DEFAULT_CONING)
-        assert sum(intervals) <= 8300
-        assert intervals == [2046, 2050, 2050, 2048]
+        assert intervals == [18, 34, 66, 130, 258, 514, 1026, 2050, 2050,
+                             2048]
+
+    def test_default_sweep_passes_do_no_work_twice(self, monkeypatch):
+        # twospeed4's 2032 steps fit one call of BLOCK steps, in segments of
+        # BLOCK // 4 steps, which hold BLOCK sensor intervals each: only
+        # the dt = 1/256 cell has two.  Every cell starts at its first
+        # segment's product, so the pass folds once, that cell's second
+        # segment, where four calls and a fold per segment took 57.
+        calls, folds = [], []
+        two_speed_steps, compose = _batch.two_speed_steps, _batch.compose
+
+        def counted_steps(grids, minor, segments):
+            calls.append(segments)
+            return two_speed_steps(grids, minor, segments)
+
+        def counted_compose(t2, t1):
+            folds.append(len(calls))
+            return compose(t2, t1)
+
+        monkeypatch.setattr(_batch, "two_speed_steps", counted_steps)
+        monkeypatch.setattr(_batch, "compose", counted_compose)
+        run_sweep(DEFAULT_CONING)
+        assert calls == [[(c, 0, 16 << c) for c in range(6)]
+                         + [(6, 0, 512), (6, 512, 1024)]]
+        assert folds == [1]
 
     def test_default_sweep_samples_each_node_time_once(self, monkeypatch):
         # The rate methods read the rate at the nodes {0}, {0, 1/2},
@@ -318,20 +343,23 @@ class TestBatching:
         steps = sum(round(cfg.horizon / dt) for dt in cfg.step_sizes)
         assert len(times) == 3 * steps
 
-    def test_a_call_reads_only_rows_of_its_own_segments(self):
+    def test_a_call_reads_only_rows_of_its_own_segments(self, monkeypatch):
         # Two passes over the same cells cut into different calls: the
         # second samples its own calls, keeps them beside the first's, and
-        # each reads the rate at its own step times.
+        # each reads the rate at its own step times.  The first packs both
+        # cells into one call of 12 steps; the second cuts them into
+        # segments of 2 steps, packed into 3 calls of 4.
         signal = preset("fourier3")
         samples = _batch.RateSamples(signal, 0.25)
         samples.keep = frozenset({0.0, 0.5})
         tab = tableau_explicit_midpoint()
         dts = [0.5, 0.25]
-        for block in (8, 2):
+        for rows, block in ((16, 8), (4, 2)):
+            monkeypatch.setattr(_batch, "BLOCK", rows)
             _batch.compose_steps(partial(
                 _batch.rate_steps, samples, dts, tab,
                 JacobianMode.EXACT_CLOSED_FORM), [4, 8], block)
-        assert len(samples.kept) == 2 * (2 + 6)
+        assert len(samples.kept) == 2 * (1 + 3)
         for (c, call), rates in samples.kept.items():
             t = [0.25 + k * dt + dt * c
                  for dt, k0, k1 in call for k in range(k0, k1)]
@@ -346,9 +374,8 @@ class TestIncrementGrid:
     @given(seed=seeds)
     @settings(max_examples=15, deadline=None)
     def test_chunked_fill_equals_one_synthesis(self, kind, seed):
-        # Grids of several widths are synthesized in one packed run of
-        # chunks that cross grid boundaries; each grid equals one synthesis
-        # of its own intervals.
+        # Each grid is synthesized at its width in chunks of BLOCK + 2
+        # rows; it equals one synthesis of its own intervals.
         rng = np.random.default_rng(seed)
         signal = random_signal(rng, kind)
         keys = [(float(10.0 ** rng.uniform(-3.0, 0.0)),
@@ -359,10 +386,42 @@ class TestIncrementGrid:
             grids = _batch.increment_grids(signal, keys)
         for (h, n), grid in zip(keys, grids):
             k = np.arange(-1, n + 1, dtype=float)
-            want = _batch.synth_many(signal, k * h, (k + 1.0) * h)
+            want = _batch.synth_many(signal, k * h, h)
             assert grid.h == h
             assert np.array_equal(grid.values, want)
             assert np.array_equal(grid.span(-1, n + 1), want)
+
+    @pytest.mark.parametrize("kind", SIGNAL_KINDS)
+    @given(seed=seeds, dyadic=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_are_the_increments_at_the_grid_width(self, kind, seed,
+                                                       dyadic):
+        # Row k + 1 is the kernel at the start k h and the width h.  At a
+        # dyadic h the per-call width (k + 1) h - k h is h itself, so the
+        # rows are synth_delta_theta bit for bit: on the polynomial rate,
+        # which is arithmetic only, and on the sines the same expression
+        # on numpy's sin, which may round differently from math.sin.  At
+        # another h the per-call width is off by up to (k + 1) ulp of h,
+        # so the grid is short: at most 20 intervals over at most 1 s.
+        rng = np.random.default_rng(seed)
+        signal = random_signal(rng, kind)
+        h = (2.0 ** -int(rng.integers(0, 12)) if dyadic
+             else float(10.0 ** rng.uniform(-3.0, 0.0)))
+        n = min(int(rng.integers(0, 21)), int(1.0 / h))
+        [grid] = _batch.increment_grids(signal, [(h, n)])
+        want = []
+        for k, row in zip(range(-1, n + 1), grid.values):
+            t0, t1 = k * h, (k + 1) * h
+            assert np.array_equal(row, np.array(
+                trajectory._increment_xyz(signal, t0, h, np)))
+            want.append(synth_delta_theta(signal, t0, t1))
+            if dyadic:
+                assert t1 - t0 == h
+                assert np.array_equal(row, np.array(
+                    trajectory._increment_xyz(signal, t0, t1 - t0, np)))
+        if dyadic and kind == "poly":
+            assert np.array_equal(grid.values, want)
+        assert_rows_close(grid.values, np.array(want))
 
 
 class TestRateSteps:
@@ -475,7 +534,8 @@ class TestCorrections:
         dt, minor, k0, k1 = 0.1, 3, 3, 10
 
         def inc(k, h=dt):
-            return synth_delta_theta(signal, k * h, (k + 1) * h)
+            # The grid's interval k: its start and its width h.
+            return np.array(trajectory._increment_xyz(signal, k * h, h))
 
         want = []
         for k in range(k0, k1):
@@ -616,27 +676,33 @@ class TestComposer:
             assert attitude_error_angle(got, want) <= CHAIN_TOL * n
 
     @given(seed=seeds, block=st.integers(min_value=1, max_value=16),
+           spare=st.integers(min_value=0, max_value=24),
            steps=st.lists(st.integers(min_value=1, max_value=40),
                           min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_a_pass_of_several_cells_equals_each_cell_alone(self, seed,
-                                                            block, steps):
-        # Segments of several cells share calls of at most ``block`` rows;
-        # each cell's attitude is bitwise the one of a pass of its own.
+                                                            block, spare,
+                                                            steps):
+        # Segments of at most ``block`` steps, of several cells, share calls
+        # of at most BLOCK rows; each cell's attitude is bitwise the one of
+        # a pass of its own.
         rng = np.random.default_rng(seed)
         dphi = [random_rotation_vectors(rng, n, 0.3) for n in steps]
-        rows = []
+        rows, lengths = [], []
 
         def produce(segments):
             rows.append(sum(k1 - k0 for _, k0, k1 in segments))
+            lengths.extend(k1 - k0 for _, k0, k1 in segments)
             return np.concatenate([dphi[c][k0:k1] for c, k0, k1 in segments])
 
-        together = _batch.compose_steps(produce, steps, block)
-        assert max(rows) <= block
-        assert len(rows) <= sum(-(-n // block) for n in steps)
-        for cell, n in zip(dphi, steps):
-            [alone] = _batch.compose_steps(rows_of(cell), [n], block)
-            assert np.array_equal(together.pop(0), alone)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_batch, "BLOCK", block + spare)
+            together = _batch.compose_steps(produce, steps, block)
+            assert max(rows) <= block + spare and max(lengths) <= block
+            assert len(lengths) == sum(-(-n // block) for n in steps)
+            for cell, n in zip(dphi, steps):
+                [alone] = _batch.compose_steps(rows_of(cell), [n], block)
+                assert np.array_equal(together.pop(0), alone)
 
     def test_drift_is_projected(self):
         # Scaled by 1 + 1e-9, each factor's defect exceeds the threshold.

@@ -9,6 +9,10 @@ at the default step sizes, horizon and tolerance, with the informational
 faster engine may reorder floating-point operations, so ``final_error_rad``
 is held to ``REL_TOL`` relative with an ``ABS_TOL`` floor: the default
 reference tolerance, below which the reference itself is not trusted.
+
+``data/sweep_<preset>.stderr`` holds the same command's standard error,
+one fitted order per method to three decimals, and must match byte for
+byte: an engine change that moves a fitted order shows here.
 """
 
 import csv
@@ -36,10 +40,12 @@ def read_rows(path):
 
 
 @pytest.mark.parametrize("signal", PRESET_NAMES)
-def test_default_sweep_matches_golden(signal, tmp_path):
+def test_default_sweep_matches_golden(signal, tmp_path, capsys):
     out = tmp_path / "records.csv"
     assert run_cli(["sweep", "--signal", signal, "--methods", ALL_METHODS,
                     "--output", str(out)]) == 0
+    assert capsys.readouterr().err == \
+        (DATA / f"sweep_{signal}.stderr").read_text(encoding="utf-8")
     got = read_rows(out)
     want = read_rows(DATA / f"sweep_{signal}.csv")
     assert [[r[c] for c in KEY_COLUMNS] for r in got] == \

@@ -325,7 +325,7 @@ class TestSynthDeltaTheta:
                                  for t in (x0, x1))
         t0 = rng.uniform(-20.0, 19.0, 8)
         t1 = t0 + 10.0 ** rng.uniform(-4.0, 0.0, 8)
-        columns = _batch.synth_many(signal, t0, t1)
+        columns = _batch.synth_many(signal, t0, t1 - t0)
         for x0, x1, column in zip(t0.tolist(), t1.tolist(), columns):
             want = np.array(increment_40_digits(signal, x0, x1))
             peak, phase = peak_and_phase(x0, x1)
